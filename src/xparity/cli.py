@@ -16,8 +16,8 @@ from .generators import GenerationError, gen_edge_cover_formula, gen_random_docc
 from .length import solve_length
 from .occ2 import ContractViolation, solve_2cnf, solve_occ2
 from .oracle import CapExceeded, SimpleGraph, brute_parity
-from .reducer import reduce_formula
-from .telemetry import Telemetry
+from .reducer import ReducerInvariantError, reduce_formula
+from .telemetry import LedgerViolation, Telemetry
 
 REPORT_SCHEMA = 1
 
@@ -97,6 +97,13 @@ def cmd_solve(args) -> int:
         t0 = time.perf_counter()
         parity = _run_solver(solver, phi, tel, args.seed)
         elapsed = (time.perf_counter() - t0) * 1000
+    except (ReducerInvariantError, LedgerViolation) as exc:
+        if not args.telemetry:
+            raise
+        repro = args.telemetry + ".cnf"
+        with open(repro, "w") as fh:
+            fh.write(write_dimacs(phi))
+        raise type(exc)(f"{exc} (input written to {repro})") from exc
     finally:
         if sink:
             sink.close()
@@ -277,6 +284,10 @@ def main(argv=None) -> int:
     except (DimacsError, GenerationError, ContractViolation, CapExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ReducerInvariantError, LedgerViolation) as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

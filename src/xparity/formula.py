@@ -28,9 +28,9 @@ def var_of(lit: Literal) -> int:
     return lit if lit > 0 else -lit
 
 
-def _lit_key(lit: Literal):
-    # variable id first, positive literal before negative
-    return (abs(lit), lit < 0)
+def _lit_key(lit: Literal) -> int:
+    # variable id first, positive literal before negative: v -> 2v, -v -> 2v+1
+    return 2 * lit if lit > 0 else 1 - 2 * lit
 
 
 def canonical_clause(literals: Iterable[Literal]) -> Clause:
@@ -43,8 +43,10 @@ def canonical_clause(literals: Iterable[Literal]) -> Clause:
     return lits
 
 
-def clause_sort_key(clause: Clause):
-    return tuple(_lit_key(lit) for lit in clause)
+def clause_sort_key(clause: Clause) -> tuple:
+    """Flat int key: clauses compare literal by literal in ``_lit_key``
+    order, a proper prefix first."""
+    return tuple(map(_lit_key, clause))
 
 
 class Formula:
@@ -178,12 +180,6 @@ def assign_literal(phi: Formula, lit: Literal) -> Formula:
     return Formula._make(phi.variables - {v}, out)
 
 
-def assign_many(phi: Formula, lits: Iterable[Literal]) -> Formula:
-    for lit in lits:
-        phi = assign_literal(phi, lit)
-    return phi
-
-
 def falsify_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
     """phi[C=0]: assign every literal of C to 0, in order.
 
@@ -294,61 +290,3 @@ def stats(phi: Formula) -> FormulaStats:
         degree_histogram=hist,
         polarity=polarity,
     )
-
-
-# -- assignment traces -----------------------------------------------------
-
-
-class Trace:
-    """Replayable log of variable events.
-
-    Events: ("assign", var, value), ("merge", x, lit) for x := lit,
-    ("drop", var) for twin removal, ("flip", var).  Replaying the log on the
-    original formula reproduces the transformed one; no variable may be
-    assigned, merged or dropped twice.
-    """
-
-    def __init__(self):
-        self.events: list[tuple] = []
-        self._consumed: set[int] = set()
-
-    def _consume(self, v: int):
-        if v in self._consumed:
-            raise ValueError(f"variable {v} affected twice in one trace")
-        self._consumed.add(v)
-
-    def assign(self, var: int, value: int):
-        self._consume(var)
-        self.events.append(("assign", var, value))
-
-    def merge(self, x: int, lit: Literal):
-        self._consume(x)
-        self.events.append(("merge", x, lit))
-
-    def drop(self, var: int):
-        self._consume(var)
-        self.events.append(("drop", var))
-
-    def flip(self, var: int):
-        self.events.append(("flip", var))
-
-    def __len__(self):
-        return len(self.events)
-
-
-def replay(phi: Formula, trace: Trace) -> Formula:
-    for event in trace.events:
-        kind = event[0]
-        if kind == "assign":
-            _, v, value = event
-            phi = assign_literal(phi, v if value == 1 else -v)
-        elif kind == "merge":
-            _, x, lit = event
-            phi = merge_variables(phi, x, lit)
-        elif kind == "drop":
-            phi = remove_variable(phi, event[1])
-        elif kind == "flip":
-            phi = flip_variable(phi, event[1])
-        else:
-            raise ValueError(f"unknown event {event!r}")
-    return phi

@@ -61,27 +61,6 @@ def gen_random_docc(
     return Formula(range(1, n + 1), clauses)
 
 
-def gen_random_cnf(
-    n: int,
-    m: int,
-    min_len: int = 1,
-    max_len: int = 3,
-    seed: int = 0,
-    occurring_only: bool = False,
-) -> Formula:
-    """Unconstrained random CNF (degrees bounded only by m * max_len)."""
-    rng = random.Random(seed)
-    clauses = []
-    for _ in range(m):
-        k = rng.randint(min_len, min(max_len, n))
-        vs = rng.sample(range(1, n + 1), k)
-        clauses.append([rng.choice([v, -v]) for v in vs])
-    if occurring_only:
-        used = {abs(l) for c in clauses for l in c}
-        return Formula(used, clauses)
-    return Formula(range(1, n + 1), clauses)
-
-
 def random_graph(n: int, p: float, seed: int = 0, ensure_no_isolated: bool = False) -> SimpleGraph:
     rng = random.Random(seed)
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]

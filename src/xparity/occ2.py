@@ -16,7 +16,13 @@ from .branching import clause_branch
 from .factors import epsilon_prime
 from .formula import Formula, assign_literal, clause_sort_key, var_of
 from .oracle import brute_parity
-from .reducer import SUBFORMULA_VAR_CAP, ReducerInvariantError, reduce_formula
+from .reducer import (
+    SUBFORMULA_VAR_CAP,
+    ReducerInvariantError,
+    clause_components,
+    reduce_formula,
+    subformula,
+)
 from .telemetry import Telemetry
 
 
@@ -61,18 +67,6 @@ def check_occ2(phi: Formula):
     for v in phi.variables:
         if phi.degree(v) > 2:
             raise ContractViolation(f"variable {v} occurs {phi.degree(v)} times; need <= 2")
-
-
-def build_dual_graph(phi: Formula) -> dict:
-    """Adjacency between clause indices through shared variables."""
-    adj: dict[int, set] = {i: set() for i in range(phi.m)}
-    for occs in phi.occ.values():
-        idxs = [cidx for cidx, _ in occs]
-        for a, b in itertools.combinations(idxs, 2):
-            if a != b:
-                adj[a].add(b)
-                adj[b].add(a)
-    return adj
 
 
 def _other_occurrence(phi: Formula, v: int, cidx: int):
@@ -134,32 +128,6 @@ def build_multigraph(phi: Formula) -> ClauseMultigraph:
 # -- polynomial 2-CNF ----------------------------------------------------------
 
 
-def _components(phi: Formula) -> list[list[int]]:
-    adj = build_dual_graph(phi)
-    seen = set()
-    comps = []
-    for start in range(phi.m):
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            c = stack.pop()
-            comp.append(c)
-            for nb in adj[c]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _extract(phi: Formula, idxs) -> Formula:
-    clauses = [phi.clauses[i] for i in idxs]
-    vs = frozenset(var_of(l) for c in clauses for l in c)
-    return Formula._make(vs, clauses)
-
-
 def solve_2cnf(phi: Formula) -> int:
     """Parity of a 2-CNF 2-occ formula in polynomial time: reduction consumes
     path components; each cycle is broken by one clause branching into two
@@ -175,8 +143,8 @@ def solve_2cnf(phi: Formula) -> int:
     if psi.is_empty():
         return 1
     parity = 1
-    for comp in _components(psi):
-        sub = _extract(psi, comp)
+    for comp in clause_components(psi):
+        sub = subformula(psi, comp)
         branch = clause_branch(sub, sub.clauses[0])
         p = 0
         for child in branch.children:
@@ -223,7 +191,7 @@ def eliminate_self_loops(phi: Formula):
         if loop is None:
             return ("formula", phi)
         _, idxs, hinge = loop
-        sub = _extract(phi, idxs)
+        sub = subformula(phi, idxs)
         p1 = solve_2cnf(assign_literal(sub, hinge))
         p0 = solve_2cnf(assign_literal(sub, -hinge))
         if p0 == 0 and p1 == 0:
@@ -375,17 +343,22 @@ def _prepare(phi: Formula, tel: Telemetry, depth: int):
     out = reduce_formula(phi)
     if out.settled:
         return ("parity", 0)
-    psi = out.formula
-    if psi.is_empty():
+    if out.formula.is_empty():
         return ("parity", 1)
+    return _prepare_reduced(out.formula, tel, depth)
+
+
+def _prepare_reduced(psi: Formula, tel: Telemetry, depth: int):
+    """``_prepare`` for a non-empty formula already at the reducer's
+    fixpoint."""
     status, val = eliminate_self_loops(psi)
     if status == "parity":
         return ("parity", val)
     psi = val
     factor = 1
     cores = []
-    for comp in _components(psi):
-        sub = _extract(psi, comp)
+    for comp in clause_components(psi):
+        sub = subformula(psi, comp)
         if sub.m3 == 0:
             tel.leaf(depth, "occ2.2cnf-peel")
             factor &= solve_2cnf(sub)
@@ -395,7 +368,7 @@ def _prepare(phi: Formula, tel: Telemetry, depth: int):
             cores.append(comp)
     if not cores:
         return ("parity", factor)
-    core = _extract(psi, [i for comp in cores for i in comp])
+    core = subformula(psi, [i for comp in cores for i in comp])
     return ("go", core, factor)
 
 
@@ -405,11 +378,11 @@ def _base_solve(psi: Formula, tel: Telemetry, depth: int) -> int:
     if psi.m3 == 0:
         tel.leaf(depth, "occ2.base-2cnf")
         return solve_2cnf(psi)
-    comps = _components(psi)
+    comps = clause_components(psi)
     if len(comps) > 1:
         parity = 1
         for comp in comps:
-            parity &= _base_solve(_extract(psi, comp), tel, depth)
+            parity &= _base_solve(subformula(psi, comp), tel, depth)
             if parity == 0:
                 return 0
         return parity
@@ -443,8 +416,11 @@ def bisection_solve(
     the 3-clauses and branches on endpoints of partition-crossing multigraph
     edges, alternating sides level by level."""
     if not a and b:
+        # relabel the sides; last_side names the parent's side, so it
+        # follows the relabelling and the alternation check stays valid
         a, b = b, a
         pick_from_b = not pick_from_b
+        last_side = {"A": "B", "B": "A"}.get(last_side)
     if phi.m3 <= cfg.n_eps:
         return _base_solve(phi, tel, depth)
     g = build_multigraph(phi)
@@ -481,8 +457,8 @@ def bisection_solve(
     if not s:
         parity = 1
         tel._emit({"kind": "divide", "depth": depth, "sides": [len(a), len(b)]})
-        for comp in _components(phi):
-            sub = _extract(phi, comp)
+        for comp in clause_components(phi):
+            sub = subformula(phi, comp)
             threes = frozenset(c for c in sub.clauses if len(c) == 3)
             if not (threes <= a or threes <= b):
                 raise ReducerInvariantError("component straddles the partition without cut edges")
@@ -630,7 +606,7 @@ def _solve_reduced(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) ->
         return brute_parity(psi)
     if any(len(c) >= 4 for c in psi.clauses):
         return _branch_4plus(psi, tel, depth, cfg)
-    prep = _prepare(psi, tel, depth)
+    prep = _prepare_reduced(psi, tel, depth)
     if prep[0] == "parity":
         tel.leaf(depth, "occ2.settled")
         return prep[1]

@@ -101,11 +101,14 @@ def _r3(phi: Formula):
 
 
 def _r4(phi: Formula):
+    # A superset of clause i occurs in the occurrence list of each variable
+    # of clause i, so scanning the shortest such list (ascending clause
+    # index) finds the smallest j.
     sets = _clause_sets(phi)
-    m = len(sets)
-    for i in range(m):
-        for j in range(m):
-            if i != j and sets[i] < sets[j]:
+    for i, s in enumerate(sets):
+        scan = min([phi.occ[var_of(l)] for l in s], key=len) if s else enumerate(sets)
+        for j, _ in scan:
+            if s < sets[j]:
                 out = [c for k, c in enumerate(phi.clauses) if k != j]
                 return (
                     "changed",
@@ -227,9 +230,10 @@ def _r11(phi: Formula):
     return None
 
 
-def _clause_components(phi: Formula, skip_var: int | None = None) -> list[list[int]]:
+def clause_components(phi: Formula, skip_var: int | None = None) -> list[list[int]]:
     """Connected components of the clause-sharing graph, as sorted lists of
-    clause indices; adjacency through skip_var is ignored when given."""
+    clause indices in order of their smallest index; adjacency through
+    skip_var is ignored when given."""
     m = phi.m
     adj: list[set] = [set() for _ in range(m)]
     for v, occs in phi.occ.items():
@@ -258,18 +262,19 @@ def _clause_components(phi: Formula, skip_var: int | None = None) -> list[list[i
     return comps
 
 
-def _subformula(phi: Formula, clause_idxs) -> Formula:
+def subformula(phi: Formula, clause_idxs) -> Formula:
+    """The clauses at the given indices over exactly their own variables."""
     clauses = [phi.clauses[i] for i in clause_idxs]
     vs = frozenset(var_of(l) for c in clauses for l in c)
     return Formula._make(vs, clauses)
 
 
 def _r12(phi: Formula):
-    comps = _clause_components(phi)
+    comps = clause_components(phi)
     if len(comps) < 2:
         return None
     for comp in comps:
-        sub = _subformula(phi, comp)
+        sub = subformula(phi, comp)
         if sub.n <= SUBFORMULA_VAR_CAP:
             p = brute_parity(sub)
             if p == 0:
@@ -283,36 +288,97 @@ def _r12(phi: Formula):
     return None
 
 
-def _r13(phi: Formula):
-    for x in sorted(phi.variables):
-        occs = phi.occ.get(x, ())
-        if len(occs) < 2:
+def _smallest_hinge(phi: Formula) -> int | None:
+    """The smallest variable x at which R13 fires: x is a cut vertex of the
+    variable-clause incidence graph and some side it separates has, with
+    x, at most SUBFORMULA_VAR_CAP variables.
+
+    One iterative articulation-point DFS (Hopcroft-Tarjan) rooted at
+    clauses, so every variable is an inner vertex: a child subtree with
+    low >= disc(x) is a separated side, and the rest of x's component,
+    parent included, is one more side.
+    """
+    m = phi.m
+    variables = list(phi.occ)
+    vertex = {v: m + k for k, v in enumerate(variables)}
+    adj = [list({vertex[var_of(l)] for l in c}) for c in phi.clauses]
+    adj += [list({cidx for cidx, _ in phi.occ[v]}) for v in variables]
+    n_vertices = len(adj)
+    disc = [0] * n_vertices  # 0 = unvisited
+    low = [0] * n_vertices
+    nvars = [0] * n_vertices  # variables in the DFS subtree
+    split = [-1] * n_vertices  # variables in separated subtrees; -1: no cut
+    small = [False] * n_vertices  # some separated subtree is small
+    best = None
+    clock = 0
+    for root in range(m):
+        if disc[root]:
             continue
-        comps = _clause_components(phi, skip_var=x)
-        x_clauses = {cidx for cidx, _ in occs}
-        x_comps = [c for c in comps if x_clauses & set(c)]
-        if len(x_comps) < 2:
-            continue
-        for comp in x_comps:
-            sub = _subformula(phi, comp)
-            if sub.n > SUBFORMULA_VAR_CAP:
-                continue
-            p1 = brute_parity(assign_literal(sub, x))
-            p0 = brute_parity(assign_literal(sub, -x))
-            if p0 == 0 and p1 == 0:
-                return ("verdict", f"hinged subformula {comp} even for both values of {x}")
-            keep = [c for i, c in enumerate(phi.clauses) if i not in set(comp)]
-            rest = Formula._make(phi.variables - (sub.variables - {x}), keep)
-            if p0 == 1 and p1 == 0:
-                rest = assign_literal(rest, -x)
-                detail = f"hinged subformula {comp}: forced {x}=0"
-            elif p0 == 0 and p1 == 1:
-                rest = assign_literal(rest, x)
-                detail = f"hinged subformula {comp}: forced {x}=1"
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [(root, iter(adj[root]))]
+        component = []
+        while stack:
+            u, it = stack[-1]
+            for w in it:
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    if w >= m:
+                        nvars[w] = 1
+                        component.append(w)
+                    stack.append((w, iter(adj[w])))
+                    break
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
             else:
-                detail = f"hinged subformula {comp}: both parities odd, {x} kept"
-            return ("changed", rest, detail)
-    return None
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    nvars[p] += nvars[u]
+                    if low[u] >= disc[p]:
+                        split[p] = max(split[p], 0) + nvars[u]
+                        if nvars[u] < SUBFORMULA_VAR_CAP:
+                            small[p] = True
+        total = len(component)
+        for w in component:
+            if split[w] >= 0 and (small[w] or total - split[w] <= SUBFORMULA_VAR_CAP):
+                x = variables[w - m]
+                if best is None or x < best:
+                    best = x
+    return best
+
+
+def _r13(phi: Formula):
+    x = _smallest_hinge(phi)
+    if x is None:
+        return None
+    x_clauses = set(phi.clauses_of(x))
+    for comp in clause_components(phi, skip_var=x):
+        if x_clauses.isdisjoint(comp):
+            continue
+        sub = subformula(phi, comp)
+        if sub.n <= SUBFORMULA_VAR_CAP:
+            break
+    else:
+        raise ReducerInvariantError(f"hinge {x} has no small side")
+    p1 = brute_parity(assign_literal(sub, x))
+    p0 = brute_parity(assign_literal(sub, -x))
+    if p0 == 0 and p1 == 0:
+        return ("verdict", f"hinged subformula {comp} even for both values of {x}")
+    keep = [c for i, c in enumerate(phi.clauses) if i not in set(comp)]
+    rest = Formula._make(phi.variables - (sub.variables - {x}), keep)
+    if p0 == 1 and p1 == 0:
+        rest = assign_literal(rest, -x)
+        detail = f"hinged subformula {comp}: forced {x}=0"
+    elif p0 == 0 and p1 == 1:
+        rest = assign_literal(rest, x)
+        detail = f"hinged subformula {comp}: forced {x}=1"
+    else:
+        detail = f"hinged subformula {comp}: both parities odd, {x} kept"
+    return ("changed", rest, detail)
 
 
 _RULES = (

@@ -1,9 +1,14 @@
 import json
 
+import pytest
+
+from xparity import cli
 from xparity.cli import main
 from xparity.dimacs import parse_dimacs, write_dimacs
 from xparity.generators import gen_random_docc
 from xparity.oracle import brute_parity
+from xparity.reducer import ReducerInvariantError
+from xparity.telemetry import LedgerViolation
 
 
 def run(capsys, *argv):
@@ -132,3 +137,22 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "gen", "--family", "random", "--n", "10", "--d", "2")
     assert code == 0
     assert parse_dimacs(out) == gen_random_docc(10, 2, 2, 3, seed=7)
+
+
+@pytest.mark.parametrize("error", [ReducerInvariantError, LedgerViolation])
+def test_invariant_failure_exit_code_and_repro(tmp_path, capsys, monkeypatch, error):
+    def failing_solver(*_):
+        raise error("sides failed\nto alternate")
+
+    monkeypatch.setattr(cli, "_run_solver", failing_solver)
+    phi = parse_dimacs("p cnf 4 2\n1 -2 0\n3 0\n")
+    path = write_instance(tmp_path, phi)
+    code, _, err = run(capsys, "solve", "--input", path)
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith(f"error: {error.__name__}: ")
+    sink = tmp_path / "tel.jsonl"
+    code, _, err = run(capsys, "solve", "--input", path, "--telemetry", str(sink))
+    assert code == 3 and err.count("\n") == 1
+    repro = tmp_path / "tel.jsonl.cnf"
+    assert str(repro) in err
+    assert parse_dimacs(repro.read_text()) == phi

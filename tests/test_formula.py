@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xparity.formula import (
     Formula,
-    Trace,
     add_clause,
     assign_literal,
     canonical_clause,
+    clause_sort_key,
     empty_formula,
     falsify_clause,
     flip_variable,
@@ -13,7 +15,6 @@ from xparity.formula import (
     neg,
     remove_clause,
     remove_variable,
-    replay,
     stats,
 )
 from xparity.oracle import brute_count, brute_parity
@@ -235,21 +236,15 @@ def test_occurrence_index_consistency():
     assert total == phi.length
 
 
-def test_trace_replay():
-    phi = Formula([1, 2, 3, 4], [[1, 2], [2, 3], [3, 4]])
-    tr = Trace()
-    tr.assign(1, 0)
-    tr.merge(2, -3)
-    tr.drop(4)
-    got = replay(phi, tr)
-    want = remove_variable(merge_variables(assign_literal(phi, -1), 2, -3), 4)
-    assert got == want
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-6, 6).filter(bool), max_size=4).map(tuple),
+        max_size=12,
+    )
+)
+def test_clause_sort_key_orders_like_pair_key(clauses):
+    def pair_key(clause):
+        return tuple((abs(l), l < 0) for l in clause)
 
-
-def test_trace_rejects_double_touch():
-    tr = Trace()
-    tr.assign(1, 0)
-    with pytest.raises(ValueError):
-        tr.assign(1, 1)
-    with pytest.raises(ValueError):
-        tr.merge(1, 2)
+    assert sorted(clauses, key=clause_sort_key) == sorted(clauses, key=pair_key)

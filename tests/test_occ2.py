@@ -217,3 +217,25 @@ def test_alternation_of_branch_sides():
                     assert r["side"] != r["parent_side"]
                     with_parent += 1
     assert with_parent > 3
+
+
+def test_relabelled_sides_keep_alternating_on_cubic_80():
+    # edge-cover formula of a random cubic graph on 80 vertices: a child
+    # whose A side empties is relabelled and re-bisected, which used to
+    # trip the alternation check with the parent's side under the old label
+    import random
+
+    from xparity.generators import gen_edge_cover_formula
+    from xparity.length import solve_length
+    from xparity.oracle import SimpleGraph
+
+    rng = random.Random(80)
+    while True:
+        stubs = [v for v in range(1, 81) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = [tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)]
+        if all(u != v for u, v in edges) and len(set(edges)) == len(edges):
+            break
+    phi = gen_edge_cover_formula(SimpleGraph(range(1, 81), edges))
+    assert (phi.n, phi.m) == (120, 80)
+    assert solve_occ2(phi, Telemetry(strict=True)) == solve_length(phi) == 1

@@ -1,0 +1,231 @@
+"""The occurrence-list R4 and the articulation-point R13 against their
+naive definitions: all-pairs subsumption, and one clause-component pass
+per variable.
+
+Every formula is checked twice: the single rule application must return
+exactly what the naive rule returns, and the whole fixpoint run with
+details must give the same trace, potentials and result under both rule
+sets.
+"""
+
+import random
+from contextlib import contextmanager
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xparity import reducer
+from xparity.formula import Formula, assign_literal
+from xparity.generators import gen_edge_cover_formula, gen_random_docc, gen_rule_trigger
+from xparity.oracle import SimpleGraph, brute_parity
+from xparity.reducer import (
+    SUBFORMULA_VAR_CAP,
+    apply_rule,
+    clause_components,
+    reduce_formula,
+    subformula,
+)
+
+
+# -- the naive rules ---------------------------------------------------------
+
+
+def naive_r4(phi: Formula):
+    sets = [frozenset(c) for c in phi.clauses]
+    m = len(sets)
+    for i in range(m):
+        for j in range(m):
+            if i != j and sets[i] < sets[j]:
+                out = [c for k, c in enumerate(phi.clauses) if k != j]
+                return (
+                    "changed",
+                    Formula._make(phi.variables, out),
+                    f"{phi.clauses[i]} subsumes {phi.clauses[j]}",
+                )
+    return None
+
+
+def naive_r13(phi: Formula):
+    for x in sorted(phi.variables):
+        occs = phi.occ.get(x, ())
+        if len(occs) < 2:
+            continue
+        comps = clause_components(phi, skip_var=x)
+        x_clauses = {cidx for cidx, _ in occs}
+        x_comps = [c for c in comps if x_clauses & set(c)]
+        if len(x_comps) < 2:
+            continue
+        for comp in x_comps:
+            sub = subformula(phi, comp)
+            if sub.n > SUBFORMULA_VAR_CAP:
+                continue
+            p1 = brute_parity(assign_literal(sub, x))
+            p0 = brute_parity(assign_literal(sub, -x))
+            if p0 == 0 and p1 == 0:
+                return ("verdict", f"hinged subformula {comp} even for both values of {x}")
+            keep = [c for i, c in enumerate(phi.clauses) if i not in set(comp)]
+            rest = Formula._make(phi.variables - (sub.variables - {x}), keep)
+            if p0 == 1 and p1 == 0:
+                rest = assign_literal(rest, -x)
+                detail = f"hinged subformula {comp}: forced {x}=0"
+            elif p0 == 0 and p1 == 1:
+                rest = assign_literal(rest, x)
+                detail = f"hinged subformula {comp}: forced {x}=1"
+            else:
+                detail = f"hinged subformula {comp}: both parities odd, {x} kept"
+            return ("changed", rest, detail)
+    return None
+
+
+NAIVE = {"R4": naive_r4, "R13": naive_r13}
+
+
+@contextmanager
+def naive_engine():
+    saved = reducer._RULES
+    reducer._RULES = tuple((rid, NAIVE.get(rid, fn)) for rid, fn in saved)
+    try:
+        yield
+    finally:
+        reducer._RULES = saved
+
+
+def outcome(out):
+    return out.formula, out.verdict, out.trace, out.potential_log
+
+
+def check_against_naive(phi: Formula, fired: dict | None = None):
+    for rid, naive in NAIVE.items():
+        got = apply_rule(phi, rid)
+        assert got == naive(phi), (rid, phi)
+        if fired is not None and got is not None:
+            fired[rid] += 1
+    fast = reduce_formula(phi, keep_details=True)
+    with naive_engine():
+        slow = reduce_formula(phi, keep_details=True)
+    assert outcome(fast) == outcome(slow), phi
+    if fired is not None:
+        for rid, _ in fast.trace:
+            if rid in fired:
+                fired[rid] += 1
+
+
+# -- formula sources ---------------------------------------------------------
+
+
+@st.composite
+def raw_formulas(draw, max_n=7, max_m=9, max_len=4):
+    """Unrestricted clause lists: empty clauses, repeated literals and
+    tautologies included, as apply_rule also sees them outside the
+    fixpoint."""
+    n = draw(st.integers(1, max_n))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(lit, max_size=max_len), max_size=max_m))
+    return Formula(range(1, n + 1), clauses)
+
+
+def block_tree(rng: random.Random, blocks: int) -> Formula:
+    """Random blocks of clauses glued at single variables, so the incidence
+    graph has many cut variables with sides on both sides of the cap."""
+    clauses = []
+    nvars = 0
+    for _ in range(blocks):
+        size = rng.randint(1, 12)
+        fresh = list(range(nvars + 1, nvars + size + 1))
+        nvars += size
+        pool = fresh + ([rng.randint(1, nvars - size)] if nvars > size else [])
+        for _ in range(rng.randint(1, len(pool) + 2)):
+            vs = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+            clauses.append([rng.choice([v, -v]) for v in vs])
+        for v in fresh:  # every fresh variable occurs at least once
+            clauses.append([rng.choice([v, -v]), rng.choice(pool)])
+    return Formula(range(1, nvars + 1), clauses)
+
+
+def signed_cycles(rng: random.Random, lengths) -> Formula:
+    clauses = []
+    first = 1
+    for length in lengths:
+        vs = list(range(first, first + length))
+        for k, v in enumerate(vs):
+            w = vs[(k + 1) % length]
+            clauses.append([rng.choice([v, -v]), rng.choice([w, -w])])
+        first += length
+    return Formula(range(1, first), clauses)
+
+
+def cubic_graph(rng: random.Random, n: int) -> SimpleGraph:
+    while True:
+        stubs = [v for v in range(1, n + 1) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)}
+        if len(edges) == len(stubs) // 2 and all(u != v for u, v in edges):
+            return SimpleGraph(range(1, n + 1), edges)
+
+
+# -- tests -------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_formulas())
+def test_fast_rules_match_naive_on_raw_formulas(phi):
+    check_against_naive(phi)
+
+
+def test_fast_rules_match_naive_on_rule_triggers():
+    fired = {"R4": 0, "R13": 0}
+    for rule in ("R4", "R10", "R12", "R13"):
+        for seed in range(25):
+            check_against_naive(gen_rule_trigger(rule, seed), fired)
+    assert fired["R4"] >= 25 and fired["R13"] >= 25, fired
+
+
+def test_fast_rules_match_naive_on_random_docc():
+    fired = {"R4": 0, "R13": 0}
+    rng = random.Random(5)
+    for seed in range(40):
+        phi = gen_random_docc(rng.randint(8, 24), rng.choice([2, 3]), 1, 4, seed=seed)
+        check_against_naive(phi, fired)
+    assert fired["R4"] > 0 and fired["R13"] > 0, fired
+
+
+def test_fast_rules_match_naive_on_block_trees():
+    fired = {"R4": 0, "R13": 0}
+    for seed in range(60):
+        check_against_naive(block_tree(random.Random(seed), 2 + seed % 6), fired)
+    assert fired["R13"] >= 60, fired
+
+
+def test_fast_rules_match_naive_on_benchmark_shapes():
+    rng = random.Random(11)
+    for _ in range(4):
+        lengths = [rng.randint(3, 24) for _ in range(rng.randint(1, 4))]
+        check_against_naive(signed_cycles(rng, lengths))
+    for n in (8, 10, 12, 16):
+        check_against_naive(gen_edge_cover_formula(cubic_graph(rng, n)))
+
+
+def two_cycles_at(small: int, big: int, small_first: bool) -> Formula:
+    """Two clause cycles through variable 1 with ``small`` and ``big`` other
+    variables: variable 1 is the only cut vertex.  Clause 0, where the DFS
+    starts, lies on whichever cycle uses the lower variable ids."""
+
+    def cycle(first, k):
+        vs = [1] + list(range(first, first + k))
+        return [[vs[i], vs[(i + 1) % len(vs)]] for i in range(len(vs))]
+
+    sizes = (small, big) if small_first else (big, small)
+    clauses = cycle(2, sizes[0]) + cycle(2 + sizes[0], sizes[1])
+    return Formula(range(1, 2 + small + big), clauses)
+
+
+def test_r13_side_cap_boundary():
+    # a side with x and 9 more variables is at the cap, with 10 it is not;
+    # the small side is the DFS root's side or a child subtree of x
+    for small_first in (True, False):
+        for small, fires in ((SUBFORMULA_VAR_CAP - 1, True), (SUBFORMULA_VAR_CAP, False)):
+            phi = two_cycles_at(small, 12, small_first)
+            got = apply_rule(phi, "R13")
+            assert got == naive_r13(phi)
+            assert (got is not None) == fires, (small, small_first)
+            check_against_naive(phi)
