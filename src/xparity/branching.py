@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from .formula import (
     Formula,
-    add_clause,
     assign_literal,
     canonical_clause,
     falsify_clause,
@@ -81,16 +80,11 @@ def variable_branch(phi: Formula, x: int, clause_order=None) -> BranchSet:
     added_counts = []
     labels = []
     for i, (lit, side) in enumerate(items):
-        child = phi
-        added = 0
-        for j in range(i):
-            before = child.m
-            child = add_clause(child, items[j][1])
-            added += child.m - before
-        child = falsify_clause(child, side) if side else child
-        child = assign_literal(child, lit)
-        children.append(child)
-        added_counts.append(added)
+        # earlier sides added back in one pass (each is its clause minus one
+        # literal, so already canonical), then side falsified and lit true
+        child = Formula._derive(phi.variables, phi.clauses, [s for _, s in items[:i]])
+        added_counts.append(child.m - phi.m)
+        children.append(falsify_clause(child, side + (-lit,)))
         labels.append(f"first falsified side {i}")
     return BranchSet(
         scheme="variable",

@@ -12,6 +12,7 @@ Every transform returns a fresh formula; nothing here mutates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -60,21 +61,16 @@ class Formula:
     __slots__ = ("variables", "clauses", "occ", "_hash")
 
     def __init__(self, variables: Iterable[int], clauses: Iterable[Iterable[Literal]]):
-        canon = [canonical_clause(c) for c in clauses]
         # dedupe, then sort for deterministic iteration and hashing
-        canon = sorted(set(canon), key=clause_sort_key)
+        canon = sorted({canonical_clause(c) for c in clauses}, key=clause_sort_key)
         vs = frozenset(variables)
-        occ: dict[int, list] = {}
-        for idx, clause in enumerate(canon):
-            for lit in clause:
-                v = var_of(lit)
-                if v not in vs:
-                    raise ValueError(f"literal {lit} uses variable outside the variable set")
-                occ.setdefault(v, []).append((idx, lit))
-        object.__setattr__(self, "variables", vs)
-        object.__setattr__(self, "clauses", tuple(canon))
-        object.__setattr__(self, "occ", occ)
-        object.__setattr__(self, "_hash", None)
+        built = Formula._derive(vs, canon)
+        stray = built.occ.keys() - vs
+        if stray:
+            lit = built.occ[min(stray)][0][1]
+            raise ValueError(f"literal {lit} uses variable outside the variable set")
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(built, name))
 
     def __setattr__(self, *_):
         raise AttributeError("Formula is immutable")
@@ -141,16 +137,26 @@ class Formula:
     # -- internal fast path ------------------------------------------------
 
     @classmethod
-    def _make(cls, variables: frozenset, clause_list: list) -> "Formula":
-        """Build from clauses that are already canonical per clause."""
+    def _derive(cls, variables: frozenset, kept, added=()) -> "Formula":
+        """Build from ``kept``, an ordered, duplicate-free subsequence of
+        some formula's clauses, plus the canonical clauses ``added``.
+
+        Each added clause is placed by binary search and dropped when it is
+        already present (``clause_sort_key`` is injective), so a transform
+        that rewrites ``a`` clauses costs O(L + a log m) instead of a re-sort.
+        """
         self = object.__new__(cls)
-        canon = sorted(set(clause_list), key=clause_sort_key)
+        clauses = list(kept)
+        for clause in added:
+            i = bisect_left(clauses, clause_sort_key(clause), key=clause_sort_key)
+            if i == len(clauses) or clauses[i] != clause:
+                clauses.insert(i, clause)
         occ: dict[int, list] = {}
-        for idx, clause in enumerate(canon):
+        for idx, clause in enumerate(clauses):
             for lit in clause:
-                occ.setdefault(var_of(lit), []).append((idx, lit))
+                occ.setdefault(lit if lit > 0 else -lit, []).append((idx, lit))
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "clauses", tuple(canon))
+        object.__setattr__(self, "clauses", tuple(clauses))
         object.__setattr__(self, "occ", occ)
         object.__setattr__(self, "_hash", None)
         return self
@@ -163,6 +169,21 @@ def empty_formula() -> Formula:
 # -- transforms ------------------------------------------------------------
 
 
+def _split(phi: Formula, vs) -> tuple[list, list]:
+    """(the clauses with no variable of vs, those with one), each in
+    clause order."""
+    occ = phi.occ
+    idxs = sorted({idx for v in vs for idx, _ in occ.get(v, ())})
+    clauses = phi.clauses
+    kept = []
+    start = 0
+    for idx in idxs:
+        kept += clauses[start:idx]
+        start = idx + 1
+    kept += clauses[start:]
+    return kept, [clauses[idx] for idx in idxs]
+
+
 def assign_literal(phi: Formula, lit: Literal) -> Formula:
     """phi[lit=1]: drop satisfied clauses, delete falsified occurrences,
     remove the variable from the variable set."""
@@ -170,34 +191,31 @@ def assign_literal(phi: Formula, lit: Literal) -> Formula:
     if v not in phi.variables:
         raise ValueError(f"variable {v} not in formula")
     nlit = -lit
-    out = []
-    for clause in phi.clauses:
-        if lit in clause:
-            continue
-        if nlit in clause:
-            clause = tuple(l for l in clause if l != nlit)
-        out.append(clause)
-    return Formula._make(phi.variables - {v}, out)
+    kept, touched = _split(phi, (v,))
+    added = [tuple(l for l in c if l != nlit) for c in touched if lit not in c]
+    return Formula._derive(phi.variables - {v}, kept, added)
 
 
 def falsify_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
-    """phi[C=0]: assign every literal of C to 0, in order.
+    """phi[C=0]: assign every literal of C to 0.
 
     C must not contain complementary literals (a tautology cannot be
     falsified); reduced formulas never feed one here.
     """
-    lits = tuple(dict.fromkeys(canonical_clause(clause)))
-    seen = set()
-    for lit in lits:
-        if -lit in seen:
-            raise ValueError("cannot falsify a clause with complementary literals")
-        seen.add(lit)
-    for lit in lits:
-        if var_of(lit) in phi.variables:
-            phi = assign_literal(phi, -lit)
-        else:
-            raise ValueError(f"variable {var_of(lit)} of the clause is not assignable")
-    return phi
+    lits = frozenset(canonical_clause(clause))
+    if any(-lit in lits for lit in lits):
+        raise ValueError("cannot falsify a clause with complementary literals")
+    vs = {var_of(lit) for lit in lits}
+    missing = sorted(vs - phi.variables)
+    if missing:
+        raise ValueError(f"variable {missing[0]} of the clause is not assignable")
+    kept, touched = _split(phi, vs)
+    added = [
+        tuple(l for l in c if l not in lits)
+        for c in touched
+        if not any(-l in lits for l in c)
+    ]
+    return Formula._derive(phi.variables - vs, kept, added)
 
 
 def add_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
@@ -209,7 +227,7 @@ def add_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
             raise ValueError(f"variable {var_of(lit)} not in formula")
     if c in phi.clauses:
         return phi
-    return Formula._make(phi.variables, list(phi.clauses) + [c])
+    return Formula._derive(phi.variables, phi.clauses, (c,))
 
 
 def remove_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
@@ -217,7 +235,8 @@ def remove_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
     c = canonical_clause(clause)
     if c not in phi.clauses:
         raise ValueError("clause not present")
-    return Formula._make(phi.variables, [d for d in phi.clauses if d != c])
+    i = phi.clauses.index(c)
+    return Formula._derive(phi.variables, phi.clauses[:i] + phi.clauses[i + 1 :])
 
 
 def merge_variables(phi: Formula, x: int, lit: Literal) -> Formula:
@@ -229,24 +248,21 @@ def merge_variables(phi: Formula, x: int, lit: Literal) -> Formula:
         raise ValueError("cannot merge a variable with itself")
     if x not in phi.variables or v not in phi.variables:
         raise ValueError("both variables must be present")
-    out = []
-    for clause in phi.clauses:
-        if x in clause or -x in clause:
-            clause = canonical_clause(lit if l == x else (-lit if l == -x else l) for l in clause)
-        out.append(clause)
-    return Formula._make(phi.variables - {x}, out)
+    kept, touched = _split(phi, (x,))
+    added = [
+        canonical_clause(lit if l == x else (-lit if l == -x else l) for l in c)
+        for c in touched
+    ]
+    return Formula._derive(phi.variables - {x}, kept, added)
 
 
 def flip_variable(phi: Formula, x: int) -> Formula:
     """Swap the polarities of x everywhere; a bijection on models."""
     if x not in phi.variables:
         raise ValueError(f"variable {x} not in formula")
-    out = []
-    for clause in phi.clauses:
-        if x in clause or -x in clause:
-            clause = canonical_clause(-l if abs(l) == x else l for l in clause)
-        out.append(clause)
-    return Formula._make(phi.variables, out)
+    kept, touched = _split(phi, (x,))
+    added = [canonical_clause(-l if abs(l) == x else l for l in c) for c in touched]
+    return Formula._derive(phi.variables, kept, added)
 
 
 def remove_variable(phi: Formula, x: int) -> Formula:
@@ -254,12 +270,9 @@ def remove_variable(phi: Formula, x: int) -> Formula:
     (twin elimination)."""
     if x not in phi.variables:
         raise ValueError(f"variable {x} not in formula")
-    out = []
-    for clause in phi.clauses:
-        if x in clause or -x in clause:
-            clause = tuple(l for l in clause if abs(l) != x)
-        out.append(clause)
-    return Formula._make(phi.variables - {x}, out)
+    kept, touched = _split(phi, (x,))
+    added = [tuple(l for l in c if abs(l) != x) for c in touched]
+    return Formula._derive(phi.variables - {x}, kept, added)
 
 
 # -- statistics ------------------------------------------------------------

@@ -196,8 +196,9 @@ def eliminate_self_loops(phi: Formula):
         p0 = solve_2cnf(assign_literal(sub, -hinge))
         if p0 == 0 and p1 == 0:
             return ("parity", 0)
-        keep = [c for i, c in enumerate(phi.clauses) if i not in set(idxs)]
-        rest = Formula._make(phi.variables - (sub.variables - {hinge}), keep)
+        gone = set(idxs)
+        keep = [c for i, c in enumerate(phi.clauses) if i not in gone]
+        rest = Formula._derive(phi.variables - (sub.variables - {hinge}), keep)
         if p0 != p1:
             # the hinge is forced; when both are odd it stays unassigned and
             # the reducer settles any leftover degeneracy
@@ -436,7 +437,9 @@ def bisection_solve(
         rho_before = rho_measure(a, b, len(crossing_edges(g, a, b)), cfg.eps_prime)
         rho_after = rho_measure(part.a, part.b, len(part.cut), cfg.eps_prime)
         fraction = len(part.cut) / len(g.vertices)
-        tel._emit(
+        # the analysis bounds the measure only for cuts within 1/6 + eps
+        checked = fraction <= 1.0 / 6.0 + cfg.eps
+        tel.event(
             {
                 "kind": "rebisect",
                 "depth": depth,
@@ -445,9 +448,10 @@ def bisection_solve(
                 "fraction": round(fraction, 6),
                 "rho_before": round(rho_before, 6),
                 "rho_after": round(rho_after, 6),
+                "checked": checked,
             }
         )
-        if fraction <= 1.0 / 6.0 + cfg.eps and rho_after > rho_before + 1e-9:
+        if checked and rho_after > rho_before + 1e-9:
             raise ReducerInvariantError(
                 f"rebisection increased the measure: {rho_before} -> {rho_after}"
             )
@@ -456,7 +460,7 @@ def bisection_solve(
     s = crossing_edges(g, a, b)
     if not s:
         parity = 1
-        tel._emit({"kind": "divide", "depth": depth, "sides": [len(a), len(b)]})
+        tel.event({"kind": "divide", "depth": depth, "sides": [len(a), len(b)]})
         for comp in clause_components(phi):
             sub = subformula(phi, comp)
             threes = frozenset(c for c in sub.clauses if len(c) == 3)

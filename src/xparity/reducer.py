@@ -6,6 +6,13 @@ even-parity verdict.  ``reduce_formula`` applies them in a fixed priority
 order, restarting from the first rule after every change; any order is
 correct, a fixed one keeps traces deterministic.
 
+The restart is incremental.  A rule checked and found inapplicable stays
+known inapplicable until a fresh clause appears (one the formula did not
+have when the rule was checked), and the clause-local rules R1-R5 can
+only fire on such a clause.  So after a firing they re-check only the
+fresh clauses and pick the firing a full scan would; R6-R13 depend on
+occurrence counts and connectivity and always scan in full.
+
 Rule summary (ids follow the priority order):
   R1  empty clause present            -> parity 0
   R2  duplicated literal in a clause  -> drop copies
@@ -30,6 +37,7 @@ from dataclasses import dataclass, field
 from .formula import (
     Formula,
     assign_literal,
+    falsify_clause,
     merge_variables,
     remove_variable,
     var_of,
@@ -75,51 +83,84 @@ def _lit_index(phi: Formula) -> dict:
 # ("changed", formula, detail).
 
 
-def _r1(phi: Formula):
-    for clause in phi.clauses:
+def _scoped(phi: Formula, scope):
+    """(index, clause) pairs of the scope, all clauses when it is None."""
+    if scope is None:
+        return enumerate(phi.clauses)
+    return ((k, phi.clauses[k]) for k in scope)
+
+
+def _without(phi: Formula, k: int) -> tuple:
+    return phi.clauses[:k] + phi.clauses[k + 1 :]
+
+
+def _r1(phi: Formula, scope=None):
+    for _, clause in _scoped(phi, scope):
         if not clause:
             return ("verdict", "empty clause")
     return None
 
 
-def _r2(phi: Formula):
-    for clause in phi.clauses:
+def _r2(phi: Formula, scope=None):
+    for k, clause in _scoped(phi, scope):
         if len(set(clause)) != len(clause):
             cleaned = tuple(dict.fromkeys(clause))
-            out = [cleaned if c == clause else c for c in phi.clauses]
-            return ("changed", Formula._make(phi.variables, out), f"dedup {clause}")
+            out = Formula._derive(phi.variables, _without(phi, k), (cleaned,))
+            return ("changed", out, f"dedup {clause}")
     return None
 
 
-def _r3(phi: Formula):
-    for clause in phi.clauses:
+def _r3(phi: Formula, scope=None):
+    for k, clause in _scoped(phi, scope):
         s = set(clause)
         if any(-l in s for l in s):
-            out = [c for c in phi.clauses if c != clause]
-            return ("changed", Formula._make(phi.variables, out), f"tautology {clause}")
+            out = Formula._derive(phi.variables, _without(phi, k))
+            return ("changed", out, f"tautology {clause}")
     return None
 
 
-def _r4(phi: Formula):
+def _first_superset(phi: Formula, sets, i: int):
     # A superset of clause i occurs in the occurrence list of each variable
     # of clause i, so scanning the shortest such list (ascending clause
     # index) finds the smallest j.
-    sets = _clause_sets(phi)
-    for i, s in enumerate(sets):
-        scan = min([phi.occ[var_of(l)] for l in s], key=len) if s else enumerate(sets)
-        for j, _ in scan:
-            if s < sets[j]:
-                out = [c for k, c in enumerate(phi.clauses) if k != j]
-                return (
-                    "changed",
-                    Formula._make(phi.variables, out),
-                    f"{phi.clauses[i]} subsumes {phi.clauses[j]}",
-                )
+    s = sets[i]
+    scan = min([phi.occ[var_of(l)] for l in s], key=len) if s else enumerate(sets)
+    for j, _ in scan:
+        if s < sets[j]:
+            return j
     return None
 
 
-def _r5(phi: Formula):
-    for clause in phi.clauses:
+def _r4(phi: Formula, scope=None):
+    """The least pair (i, j) in index order with clause i a proper subset
+    of clause j, over the pairs with i or j in the scope; drop clause j.
+    A scope is only given once R1 found no empty clause."""
+    sets = _clause_sets(phi)
+    pairs = []
+    for i, _ in _scoped(phi, scope):
+        j = _first_superset(phi, sets, i)
+        if j is not None:
+            pairs.append((i, j))
+            break
+    if scope is not None:
+        # a (non-empty) subset of clause j shares a variable with it
+        for j in scope:
+            s = sets[j]
+            subsets = [i for l in s for i, _ in phi.occ[var_of(l)] if sets[i] < s]
+            if subsets:
+                pairs.append((min(subsets), j))
+    if not pairs:
+        return None
+    i, j = min(pairs)
+    return (
+        "changed",
+        Formula._derive(phi.variables, _without(phi, j)),
+        f"{phi.clauses[i]} subsumes {phi.clauses[j]}",
+    )
+
+
+def _r5(phi: Formula, scope=None):
+    for _, clause in _scoped(phi, scope):
         if len(clause) == 1:
             lit = clause[0]
             return ("changed", assign_literal(phi, lit), f"unit {lit}")
@@ -139,10 +180,7 @@ def _r7(phi: Formula):
         if len(occs) == 1:
             cidx, lit = occs[0]
             clause = phi.clauses[cidx]
-            out = assign_literal(phi, lit)
-            for other in dict.fromkeys(clause):
-                if other != lit:
-                    out = assign_literal(out, -other)
+            out = falsify_clause(phi, [-lit] + [l for l in clause if l != lit])
             return ("changed", out, f"1-variable {v}: {lit}=1, rest of {clause} false")
     return None
 
@@ -192,13 +230,9 @@ def _r10(phi: Formula):
                 for bi in lidx.get(-lit, ()):
                     if bi != ai and rest <= sets[bi] - {-lit}:
                         rewritten = tuple(l for l in phi.clauses[bi] if l != -lit)
-                        out = [
-                            rewritten if k == bi else c
-                            for k, c in enumerate(phi.clauses)
-                        ]
                         return (
                             "changed",
-                            Formula._make(phi.variables, out),
+                            Formula._derive(phi.variables, _without(phi, bi), (rewritten,)),
                             f"{phi.clauses[ai]} resolves {-lit} out of {phi.clauses[bi]}",
                         )
     return None
@@ -223,7 +257,7 @@ def _r11(phi: Formula):
                     ]
                     return (
                         "changed",
-                        Formula._make(merged.variables, cleaned),
+                        Formula._derive(merged.variables, cleaned),
                         f"{clause} vs {other}: set var {var_of(a)} := literal {target}",
                     )
             two.setdefault(key, []).append(clause)
@@ -264,9 +298,9 @@ def clause_components(phi: Formula, skip_var: int | None = None) -> list[list[in
 
 def subformula(phi: Formula, clause_idxs) -> Formula:
     """The clauses at the given indices over exactly their own variables."""
-    clauses = [phi.clauses[i] for i in clause_idxs]
+    clauses = [phi.clauses[i] for i in sorted(set(clause_idxs))]
     vs = frozenset(var_of(l) for c in clauses for l in c)
-    return Formula._make(vs, clauses)
+    return Formula._derive(vs, clauses)
 
 
 def _r12(phi: Formula):
@@ -279,10 +313,11 @@ def _r12(phi: Formula):
             p = brute_parity(sub)
             if p == 0:
                 return ("verdict", f"isolated subformula {comp} has even parity")
-            keep = [c for i, c in enumerate(phi.clauses) if i not in set(comp)]
+            gone = set(comp)
+            keep = [c for i, c in enumerate(phi.clauses) if i not in gone]
             return (
                 "changed",
-                Formula._make(phi.variables - sub.variables, keep),
+                Formula._derive(phi.variables - sub.variables, keep),
                 f"isolated subformula {comp}, parity 1, removed",
             )
     return None
@@ -368,8 +403,9 @@ def _r13(phi: Formula):
     p0 = brute_parity(assign_literal(sub, -x))
     if p0 == 0 and p1 == 0:
         return ("verdict", f"hinged subformula {comp} even for both values of {x}")
-    keep = [c for i, c in enumerate(phi.clauses) if i not in set(comp)]
-    rest = Formula._make(phi.variables - (sub.variables - {x}), keep)
+    gone = set(comp)
+    keep = [c for i, c in enumerate(phi.clauses) if i not in gone]
+    rest = Formula._derive(phi.variables - (sub.variables - {x}), keep)
     if p0 == 1 and p1 == 0:
         rest = assign_literal(rest, -x)
         detail = f"hinged subformula {comp}: forced {x}=0"
@@ -399,6 +435,10 @@ _RULES = (
 
 _RULE_BY_ID = dict(_RULES)
 
+# rules that take a scope of clause indices; any other rule, including one
+# swapped into _RULES, always scans the whole formula
+_CLAUSE_LOCAL = frozenset((_r1, _r2, _r3, _r4, _r5))
+
 
 def apply_rule(phi: Formula, rule_id: str):
     """Apply a single rule once.  Returns None, ("verdict", detail) or
@@ -411,13 +451,18 @@ def reduce_formula(phi: Formula, keep_details: bool = False) -> ReductionOutcome
 
     Parity is preserved (or the verdict 0 is correct), and every step
     strictly decreases (n, m, L) lexicographically, which is asserted.
+
+    The rules before the last one to fire are known inapplicable except
+    on fresh clauses (see the module docstring), so R1-R5 among them check
+    only those.
     """
     trace = []
     potential = [(phi.n, phi.m, phi.length)]
+    known = 0  # rules at positions below this are known inapplicable
+    fresh = None
     while True:
-        fired = False
-        for rule_id, fn in _RULES:
-            res = fn(phi)
+        for r, (rule_id, fn) in enumerate(_RULES):
+            res = fn(phi, fresh) if r < known and fn in _CLAUSE_LOCAL else fn(phi)
             if res is None:
                 continue
             if res[0] == "verdict":
@@ -432,10 +477,12 @@ def reduce_formula(phi: Formula, keep_details: bool = False) -> ReductionOutcome
                 )
             trace.append((rule_id, detail if keep_details else ""))
             potential.append(new_pot)
+            old = set(phi.clauses)
+            fresh = [k for k, c in enumerate(new_phi.clauses) if c not in old]
+            known = r
             phi = new_phi
-            fired = True
             break
-        if not fired:
+        else:
             return ReductionOutcome(phi, None, trace, potential)
 
 

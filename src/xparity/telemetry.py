@@ -75,12 +75,12 @@ class Telemetry:
     def node(self, depth: int, kind: str, detail: dict | None = None):
         self.nodes += 1
         self.max_depth = max(self.max_depth, depth)
-        self._emit({"kind": "node", "depth": depth, "node": kind, **(detail or {})})
+        self.event({"kind": "node", "depth": depth, "node": kind, **(detail or {})})
 
     def leaf(self, depth: int, kind: str, detail: dict | None = None):
         self.leaves += 1
         self.max_depth = max(self.max_depth, depth)
-        self._emit({"kind": "leaf", "depth": depth, "node": kind, **(detail or {})})
+        self.event({"kind": "leaf", "depth": depth, "node": kind, **(detail or {})})
 
     # -- ledger ----------------------------------------------------------------
 
@@ -96,7 +96,7 @@ class Telemetry:
     ):
         entry = LedgerEntry(step, child, claimed, observed, passed, resolved, note)
         self.ledger.append(entry)
-        self._emit(entry.to_record())
+        self.event(entry.to_record())
         if not passed and not resolved:
             self.violations += 1
             if self.strict:
@@ -105,7 +105,8 @@ class Telemetry:
                 )
         return entry
 
-    def _emit(self, record: dict):
+    def event(self, record: dict):
+        """Stream one JSON-lines record (and keep it when keep_records)."""
         if self.sink is not None:
             self.sink.write(json.dumps(record, separators=(",", ":")) + "\n")
         if self.keep_records:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xparity.formula import (
@@ -18,6 +18,7 @@ from xparity.formula import (
     stats,
 )
 from xparity.oracle import brute_count, brute_parity
+from xparity.reducer import subformula
 
 
 def F(nvars, *clauses):
@@ -248,3 +249,71 @@ def test_clause_sort_key_orders_like_pair_key(clauses):
         return tuple((abs(l), l < 0) for l in clause)
 
     assert sorted(clauses, key=clause_sort_key) == sorted(clauses, key=pair_key)
+
+
+@st.composite
+def formula_and_moves(draw):
+    """A formula with empty clauses, repeated literals and tautologies
+    allowed, plus arguments for every transform."""
+    n = draw(st.integers(2, 6))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    phi = Formula(range(1, n + 1), draw(st.lists(st.lists(lit, max_size=4), max_size=10)))
+    x, y = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    side = draw(st.lists(st.integers(1, n), max_size=3, unique=True))
+    side = [v * draw(st.sampled_from([1, -1])) for v in side]
+    idxs = draw(st.lists(st.integers(0, max(phi.m - 1, 0)), max_size=6)) if phi.m else []
+    y_lit = draw(st.sampled_from([y, -y]))
+    return phi, draw(lit), x, y_lit, side, draw(st.lists(lit, max_size=3)), idxs
+
+
+def assert_same_formula(got, want):
+    assert got.variables == want.variables
+    assert got.clauses == want.clauses
+    assert got.occ == want.occ
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_and_moves())
+# a stripped clause collapses into an existing one; rewritten clauses
+# collapse into each other
+@example((F(3, [1, 2], [1, 2, -3], [1, 2, 3]), -3, 3, 1, [3], [1, 2], [2, 0, 2]))
+@example((F(3, [1, 3], [2, 3], [1, 2, -3], [1, 2]), 2, 3, -1, [-3, 2], [2, 1], [1]))
+def test_transforms_equal_canonicalizing_constructor(case):
+    phi, lit, x, y_lit, side, new, idxs = case
+    vs, cls = phi.variables, phi.clauses
+
+    def swap(c, old, new_lit):
+        return [new_lit if l == old else (-new_lit if l == -old else l) for l in c]
+
+    v = abs(lit)
+    assert_same_formula(
+        assign_literal(phi, lit),
+        Formula(vs - {v}, [[l for l in c if l != -lit] for c in cls if lit not in c]),
+    )
+    assert_same_formula(add_clause(phi, new), Formula(vs, list(cls) + [new]))
+    if cls:
+        gone = cls[idxs[0]] if idxs else cls[0]
+        assert_same_formula(remove_clause(phi, gone), Formula(vs, [c for c in cls if c != gone]))
+    assert_same_formula(
+        merge_variables(phi, x, y_lit), Formula(vs - {x}, [swap(c, x, y_lit) for c in cls])
+    )
+    assert_same_formula(flip_variable(phi, x), Formula(vs, [swap(c, x, -x) for c in cls]))
+    assert_same_formula(
+        remove_variable(phi, x), Formula(vs - {x}, [[l for l in c if abs(l) != x] for c in cls])
+    )
+    falsified = set(side)
+    assert_same_formula(
+        falsify_clause(phi, side),
+        Formula(
+            vs - {abs(l) for l in side},
+            [
+                [l for l in c if l not in falsified]
+                for c in cls
+                if not any(-l in falsified for l in c)
+            ],
+        ),
+    )
+    picked = [cls[i] for i in idxs]
+    assert_same_formula(
+        subformula(phi, idxs), Formula({abs(l) for c in picked for l in c}, picked)
+    )

@@ -219,23 +219,44 @@ def test_alternation_of_branch_sides():
     assert with_parent > 3
 
 
+def cubic_edge_cover(rng, nv: int) -> Formula:
+    """Edge-cover formula of a random simple cubic graph on nv vertices."""
+    from xparity.generators import gen_edge_cover_formula
+    from xparity.oracle import SimpleGraph
+
+    while True:
+        stubs = [v for v in range(1, nv + 1) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = [tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)]
+        if all(u != v for u, v in edges) and len(set(edges)) == len(edges):
+            return gen_edge_cover_formula(SimpleGraph(range(1, nv + 1), edges))
+
+
 def test_relabelled_sides_keep_alternating_on_cubic_80():
     # edge-cover formula of a random cubic graph on 80 vertices: a child
     # whose A side empties is relabelled and re-bisected, which used to
     # trip the alternation check with the parent's side under the old label
     import random
 
-    from xparity.generators import gen_edge_cover_formula
     from xparity.length import solve_length
-    from xparity.oracle import SimpleGraph
 
-    rng = random.Random(80)
-    while True:
-        stubs = [v for v in range(1, 81) for _ in range(3)]
-        rng.shuffle(stubs)
-        edges = [tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)]
-        if all(u != v for u, v in edges) and len(set(edges)) == len(edges):
-            break
-    phi = gen_edge_cover_formula(SimpleGraph(range(1, 81), edges))
+    phi = cubic_edge_cover(random.Random(80), 80)
     assert (phi.n, phi.m) == (120, 80)
     assert solve_occ2(phi, Telemetry(strict=True)) == solve_length(phi) == 1
+
+
+def test_rebisect_records_whether_the_measure_was_checked():
+    # the rebisection measure check runs only for cuts within 1/6 + eps;
+    # every rebisect record says whether it ran
+    import random
+
+    cfg = Occ2Config(n_eps=4)
+    seen = set()
+    for seed in range(8):
+        tel = Telemetry(strict=True, keep_records=True)
+        solve_occ2(cubic_edge_cover(random.Random(seed), 40), tel, cfg)
+        for r in tel.records:
+            if r["kind"] == "rebisect":
+                assert r["checked"] == (r["cut"] / r["vertices"] <= 1.0 / 6.0 + cfg.eps)
+                seen.add(r["checked"])
+    assert seen == {True, False}

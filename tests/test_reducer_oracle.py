@@ -5,7 +5,8 @@ per variable.
 Every formula is checked twice: the single rule application must return
 exactly what the naive rule returns, and the whole fixpoint run with
 details must give the same trace, potentials and result under both rule
-sets.
+sets.  The fixpoint's fresh-clause scopes for R1-R5 are checked against
+an engine that rescans every rule in full after each firing.
 """
 
 import random
@@ -15,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xparity import reducer
-from xparity.formula import Formula, assign_literal
+from xparity.formula import Formula, assign_literal, merge_variables
 from xparity.generators import gen_edge_cover_formula, gen_random_docc, gen_rule_trigger
 from xparity.oracle import SimpleGraph, brute_parity
 from xparity.reducer import (
     SUBFORMULA_VAR_CAP,
     apply_rule,
     clause_components,
+    is_fixpoint,
     reduce_formula,
     subformula,
 )
@@ -39,7 +41,7 @@ def naive_r4(phi: Formula):
                 out = [c for k, c in enumerate(phi.clauses) if k != j]
                 return (
                     "changed",
-                    Formula._make(phi.variables, out),
+                    Formula(phi.variables, out),
                     f"{phi.clauses[i]} subsumes {phi.clauses[j]}",
                 )
     return None
@@ -64,7 +66,7 @@ def naive_r13(phi: Formula):
             if p0 == 0 and p1 == 0:
                 return ("verdict", f"hinged subformula {comp} even for both values of {x}")
             keep = [c for i, c in enumerate(phi.clauses) if i not in set(comp)]
-            rest = Formula._make(phi.variables - (sub.variables - {x}), keep)
+            rest = Formula(phi.variables - (sub.variables - {x}), keep)
             if p0 == 1 and p1 == 0:
                 rest = assign_literal(rest, -x)
                 detail = f"hinged subformula {comp}: forced {x}=0"
@@ -90,6 +92,20 @@ def naive_engine():
         reducer._RULES = saved
 
 
+@contextmanager
+def full_scan_engine():
+    """The naive rules, each scanning the whole formula after every firing:
+    the fixpoint without fresh-clause scopes."""
+    saved = reducer._RULES
+    reducer._RULES = tuple(
+        (rid, lambda phi, fn=NAIVE.get(rid, fn): fn(phi)) for rid, fn in saved
+    )
+    try:
+        yield
+    finally:
+        reducer._RULES = saved
+
+
 def outcome(out):
     return out.formula, out.verdict, out.trace, out.potential_log
 
@@ -108,6 +124,16 @@ def check_against_naive(phi: Formula, fired: dict | None = None):
         for rid, _ in fast.trace:
             if rid in fired:
                 fired[rid] += 1
+
+
+def check_scoped_fixpoint(phi: Formula):
+    out = reduce_formula(phi, keep_details=True)
+    with full_scan_engine():
+        full = reduce_formula(phi, keep_details=True)
+    assert outcome(out) == outcome(full), phi
+    if not out.settled:
+        assert is_fixpoint(out.formula), phi
+    return out
 
 
 # -- formula sources ---------------------------------------------------------
@@ -229,3 +255,83 @@ def test_r13_side_cap_boundary():
             assert got == naive_r13(phi)
             assert (got is not None) == fires, (small, small_first)
             check_against_naive(phi)
+
+
+# -- fresh-clause scopes ------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_formulas())
+def test_scoped_fixpoint_on_raw_formulas(phi):
+    check_scoped_fixpoint(phi)
+
+
+def test_scoped_fixpoint_on_generator_families():
+    phis = [
+        gen_rule_trigger(rule, seed)
+        for rule in ("R4", "R10", "R12", "R13")
+        for seed in range(25)
+    ]
+    rng = random.Random(5)
+    phis += [
+        gen_random_docc(rng.randint(8, 24), rng.choice([2, 3]), 1, 4, seed=seed)
+        for seed in range(40)
+    ]
+    phis += [block_tree(random.Random(seed), 2 + seed % 6) for seed in range(60)]
+    rng = random.Random(11)
+    phis += [
+        signed_cycles(rng, [rng.randint(3, 24) for _ in range(rng.randint(1, 4))])
+        for _ in range(4)
+    ]
+    phis += [gen_edge_cover_formula(cubic_graph(rng, n)) for n in (8, 10, 12, 16)]
+    for phi in phis:
+        check_scoped_fixpoint(phi)
+
+
+def test_scoped_rules_on_targeted_cases():
+    # unit 1 turns (-1 2) into the fresh subset (2) of the old (2 -4)
+    out = check_scoped_fixpoint(Formula(range(1, 7), [[1], [-1, 2], [2, -4]]))
+    assert out.trace[:2] == [("R5", "unit 1"), ("R4", "(2,) subsumes (2, -4)")]
+
+    # the merge 5 := 2 turns (3 -4 -5) into the fresh superset (-2 3 -4) of
+    # (-2 3), which unit -1 left behind one firing earlier
+    phi = Formula(
+        range(1, 6),
+        [[1, 2, -5], [1, -2, 3], [-1], [-1, -2, 5], [2, -3, -4], [-2, 5], [3, -4, -5]],
+    )
+    out = check_scoped_fixpoint(phi)
+    assert [rid for rid, _ in out.trace[:4]] == ["R4", "R5", "R11", "R4"]
+    assert out.trace[3][1] == "(-2, 3) subsumes (-2, 3, -4)"
+
+    # the merge 3 := -2 makes (-1 2 -4), a fresh superset of two old
+    # clauses; the least one subsumes it
+    phi = Formula(range(1, 5), [[-1, 2], [-1, -3, -4], [2, 3], [2, -4], [-2, -3]])
+    out = check_scoped_fixpoint(phi)
+    assert out.trace[:2] == [
+        ("R11", "(-2, -3) vs (2, 3): set var 3 := literal -2"),
+        ("R4", "(-1, 2) subsumes (-1, 2, -4)"),
+    ]
+
+    # R7 leaves two fresh clauses, (7) and its superset (-3 7); of the two
+    # pairs the least drops the old (3 -6 7) first
+    phi = Formula(range(1, 8), [[1, -3, 7], [1, -4, 5], [2], [3, -6, 7], [-4, 7]])
+    out = check_scoped_fixpoint(phi)
+    assert out.trace[1:4] == [
+        ("R7", "1-variable 5: 5=1, rest of (1, -4, 5) false"),
+        ("R4", "(7,) subsumes (3, -6, 7)"),
+        ("R4", "(7,) subsumes (-3, 7)"),
+    ]
+
+    # a unit chain empties a clause: R1 finds it among the fresh clauses
+    out = check_scoped_fixpoint(Formula([1, 2], [[1], [-1, 2], [-1, -2]]))
+    assert out.trace == [("R5", "unit 1"), ("R5", "unit 2"), ("R1", "empty clause")]
+
+    # a merge that duplicates a literal; inside the fixpoint R10 strips such
+    # a clause before R11 can merge, so R2 is checked on the merge directly
+    phi = Formula(range(1, 8), [[2, 7], [-2, -7], [1, -2, 7], [1, 3]])
+    child = merge_variables(phi, 7, -2)
+    parent = set(phi.clauses)
+    fresh = [k for k, c in enumerate(child.clauses) if c not in parent]
+    got = reducer._r2(child, fresh)
+    assert got == apply_rule(child, "R2") and got[2] == "dedup (1, -2, -2)"
+    check_scoped_fixpoint(child)
