@@ -9,8 +9,8 @@ bounded occurrence, and brute-force oracles everything is tested against.
 from .branching import BranchSet, clause_branch, simple_branch, variable_branch
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .docc import reduce_to_positive, solve_docc, solve_positive_fib, to_dual_system
-from .factors import epsilon_prime, fibonacci_constant, tau
-from .formula import Formula, assign_literal, empty_formula, stats
+from .factors import epsilon_prime, tau
+from .formula import Formula, assign_literal
 from .generators import gen_edge_cover_formula, gen_random_docc
 from .length import classify_step, compute_ext, measure_mu, solve_length
 from .occ2 import (

@@ -8,7 +8,7 @@ branch-plus-reduction, the quantity the analysis bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import (
     Formula,
@@ -21,14 +21,9 @@ from .formula import (
 
 @dataclass
 class BranchSet:
-    scheme: str  # "simple" | "variable" | "clause"
     pivot: object  # variable id or clause tuple
     children: list
-    labels: list = field(default_factory=list)  # per-child description
-    added_counts: list = field(default_factory=list)  # variable branching only
-
-    def __iter__(self):
-        return iter(self.children)
+    labels: list  # per-child description
 
 
 def simple_branch(phi: Formula, x: int) -> BranchSet:
@@ -36,7 +31,6 @@ def simple_branch(phi: Formula, x: int) -> BranchSet:
     if x not in phi.variables:
         raise ValueError(f"variable {x} not in formula")
     return BranchSet(
-        scheme="simple",
         pivot=x,
         children=[assign_literal(phi, -x), assign_literal(phi, x)],
         labels=["x=0", "x=1"],
@@ -48,7 +42,6 @@ def clause_branch(phi: Formula, clause) -> BranchSet:
     c = canonical_clause(clause)
     without = remove_clause(phi, c)
     return BranchSet(
-        scheme="clause",
         pivot=c,
         children=[without, falsify_clause(without, c)],
         labels=["drop", "falsify"],
@@ -77,26 +70,12 @@ def variable_branch(phi: Formula, x: int, clause_order=None) -> BranchSet:
         if any(-l in s for l in s):
             raise ValueError("side clause contains complementary literals; reduce first")
     children = []
-    added_counts = []
     labels = []
     for i, (lit, side) in enumerate(items):
         # earlier sides added back in one pass (each is its clause minus one
         # literal, so already canonical), then side falsified and lit true
         child = Formula._derive(phi.variables, phi.clauses, [s for _, s in items[:i]])
-        added_counts.append(child.m - phi.m)
         children.append(falsify_clause(child, side + (-lit,)))
         labels.append(f"first falsified side {i}")
-    return BranchSet(
-        scheme="variable",
-        pivot=x,
-        children=children,
-        labels=labels,
-        added_counts=added_counts,
-    )
+    return BranchSet(pivot=x, children=children, labels=labels)
 
-
-def xor_children(parities) -> int:
-    out = 0
-    for p in parities:
-        out ^= p
-    return out

@@ -14,7 +14,7 @@ from .docc import solve_docc, solve_positive_fib
 from .formula import Formula
 from .generators import GenerationError, gen_edge_cover_formula, gen_random_docc, random_graph
 from .length import solve_length
-from .occ2 import ContractViolation, solve_2cnf, solve_occ2
+from .occ2 import ContractViolation, Occ2Config, solve_2cnf, solve_occ2
 from .oracle import CapExceeded, SimpleGraph, brute_parity
 from .reducer import ReducerInvariantError, reduce_formula
 from .telemetry import LedgerViolation, Telemetry
@@ -60,14 +60,9 @@ def _pick_solver(name: str, phi: Formula):
 
 def _run_solver(name: str, phi: Formula, tel: Telemetry, seed: int) -> int:
     if name == "occ2":
-        from .occ2 import Occ2Config
-
         return solve_occ2(phi, tel, Occ2Config(seed=seed))
     if name == "length":
-        from .length import LengthConfig
-        from .occ2 import Occ2Config
-
-        return solve_length(phi, tel, LengthConfig(occ2=Occ2Config(seed=seed)))
+        return solve_length(phi, tel, Occ2Config(seed=seed))
     if name == "docc":
         d = max((phi.degree(v) for v in phi.variables), default=0)
         return solve_docc(phi, max(d, 1), tel)
@@ -113,7 +108,7 @@ def cmd_solve(args) -> int:
         f"nodes: {tel.nodes}  leaves: {tel.leaves}  depth: {tel.max_depth}"
     )
     if args.explain:
-        out = reduce_formula(phi, keep_details=True)
+        out = reduce_formula(phi)
         for rule, detail in out.trace:
             print(f"explain: {rule}: {detail}")
         if out.settled:

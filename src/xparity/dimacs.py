@@ -1,4 +1,4 @@
-"""DIMACS CNF reading/writing and a JSON snapshot format.
+"""DIMACS CNF reading and writing.
 
 Parsing registers every variable 1..n from the header in the variable set
 even when it occurs in no clause: occurrence-free variables make the model
@@ -7,9 +7,7 @@ count even, so silently dropping them would corrupt parity.
 
 from __future__ import annotations
 
-import json
-
-from .formula import Formula, clause_sort_key
+from .formula import Formula
 
 
 class DimacsError(ValueError):
@@ -70,41 +68,19 @@ def parse_dimacs(text: str) -> Formula:
     return Formula(range(1, nvars + 1), clauses)
 
 
-def write_dimacs(phi: Formula, remap: bool = False) -> str:
+def write_dimacs(phi: Formula) -> str:
     """Render as DIMACS.
 
     DIMACS cannot express gaps in the variable range without introducing
     spurious 0-variables (which would flip the parity semantics), so the
-    variable set must be exactly 1..n unless remap=True, in which case
-    variables are renumbered in increasing order.
+    variable set must be exactly 1..n.
     """
     order = sorted(phi.variables)
     n = len(order)
     if order != list(range(1, n + 1)):
-        if not remap:
-            raise ValueError(
-                "variable ids must be exactly 1..n for a faithful round trip; "
-                "pass remap=True to renumber"
-            )
-        mapping = {v: i + 1 for i, v in enumerate(order)}
-        phi = Formula(
-            range(1, n + 1),
-            [[(mapping[abs(l)] if l > 0 else -mapping[abs(l)]) for l in c] for c in phi.clauses],
-        )
+        raise ValueError("variable ids must be exactly 1..n for a faithful round trip")
     lines = [f"p cnf {n} {phi.m}"]
     for clause in phi.clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"
 
-
-def formula_to_json(phi: Formula) -> str:
-    payload = {
-        "variables": sorted(phi.variables),
-        "clauses": [list(c) for c in sorted(phi.clauses, key=clause_sort_key)],
-    }
-    return json.dumps(payload, separators=(",", ":"))
-
-
-def formula_from_json(text: str) -> Formula:
-    payload = json.loads(text)
-    return Formula(payload["variables"], payload["clauses"])

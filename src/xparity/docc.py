@@ -11,12 +11,12 @@ brute-force oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .branching import clause_branch, variable_branch
-from .formula import Formula, clause_sort_key, flip_variable, var_of
+from .formula import Formula, clause_sort_key, flip_variable
 from .oracle import SetSystem, count_hitting_sets
-from .reducer import apply_rule
+from .reducer import reduce_counting
 from .telemetry import Telemetry
 
 
@@ -26,24 +26,6 @@ class NotPositive(ValueError):
 
 def is_positive(phi: Formula) -> bool:
     return all(l > 0 for c in phi.clauses for l in c)
-
-
-def _reduce_basic(phi: Formula):
-    """Fixpoint of the five counting-safe rules (empty clause, duplicate
-    literals, tautologies, subsumption, unit clauses).  The parity-only
-    rules stay out so the clause-drop bookkeeping of positive reduction
-    stays intact.  Returns ("verdict", 0) or ("formula", phi')."""
-    while True:
-        for rule in ("R1", "R2", "R3", "R4", "R5"):
-            res = apply_rule(phi, rule)
-            if res is None:
-                continue
-            if res[0] == "verdict":
-                return ("verdict", 0)
-            phi = res[1]
-            break
-        else:
-            return ("formula", phi)
 
 
 def flip_negative_variables(phi: Formula) -> tuple[Formula, tuple]:
@@ -60,8 +42,6 @@ def flip_negative_variables(phi: Formula) -> tuple[Formula, tuple]:
 class PositiveReduction:
     leaves: list  # positive formulas still to be evaluated
     base_parity: int  # XOR of leaves settled during reduction
-    branch_count: int = 0
-    flips: list = field(default_factory=list)
 
 
 def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> PositiveReduction:
@@ -73,14 +53,11 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Posi
     stack = [(phi, 0)]
     while stack:
         cur, depth = stack.pop()
-        status, val = _reduce_basic(cur)
-        if status == "verdict":
+        out = reduce_counting(cur)
+        if out.settled:
             tel.leaf(depth, "docc.verdict")
             continue
-        cur = val
-        cur, flipped = flip_negative_variables(cur)
-        if flipped:
-            result.flips.append(flipped)
+        cur, _ = flip_negative_variables(out.formula)
         if not cur.clauses:
             # free variables double the count; only the fully assigned
             # formula contributes an odd leaf
@@ -99,12 +76,11 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Posi
             key=clause_sort_key,
         )
         tel.node(depth, "docc.to-positive", {"pivot": list(pivot), "on": x})
-        result.branch_count += 1
         branch = clause_branch(cur, pivot)
         claims = [1, 2]
         for i, child in enumerate(branch.children):
-            status, val = _reduce_basic(child)
-            if status == "verdict":
+            out = reduce_counting(child)
+            if out.settled:
                 tel.check(
                     "docc.to-positive",
                     i,
@@ -115,7 +91,7 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Posi
                 )
                 tel.leaf(depth + 1, "docc.verdict")
                 continue
-            dm = cur.m - val.m
+            dm = cur.m - out.formula.m
             tel.check(
                 "docc.to-positive",
                 i,
@@ -124,12 +100,12 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Posi
                 passed=dm >= claims[i],
                 note=branch.labels[i],
             )
-            stack.append((val, depth + 1))
+            stack.append((out.formula, depth + 1))
     return result
 
 
 def solve_positive_fib(
-    phi: Formula, d: int | None = None, telemetry: Telemetry | None = None, depth: int = 0
+    phi: Formula, d: int | None = None, telemetry: Telemetry | None = None
 ) -> int:
     """Variable branching on a maximum-degree variable of a positive formula;
     the branching vector (d, d-1, ..., 1) gives the d-th order Fibonacci
@@ -141,7 +117,7 @@ def solve_positive_fib(
         worst = max((phi.degree(v) for v in phi.variables), default=0)
         if worst > d:
             raise ValueError(f"degree {worst} exceeds the declared bound {d}")
-    return _fib(phi, tel, depth)
+    return _fib(phi, tel, 0)
 
 
 def _fib(phi: Formula, tel: Telemetry, depth: int) -> int:
@@ -176,21 +152,8 @@ def to_dual_system(phi: Formula) -> SetSystem:
     return SetSystem(frozenset(range(phi.m)), tuple(family))
 
 
-def primal_system(phi: Formula) -> SetSystem:
-    """A positive formula read as a set system over its variables; models
-    correspond bijectively to hitting sets."""
-    if not is_positive(phi):
-        raise NotPositive("primal system is defined for positive formulas")
-    return SetSystem(
-        phi.variables, tuple(frozenset(var_of(l) for l in c) for c in phi.clauses)
-    )
-
-
 def solve_docc(
-    phi: Formula,
-    d: int | None = None,
-    telemetry: Telemetry | None = None,
-    oracle_cap: int = 20,
+    phi: Formula, d: int | None = None, telemetry: Telemetry | None = None
 ) -> int:
     """Reduce to positive leaves, then settle each leaf through the dual
     chain: models = primal hitting sets = dual set covers = dual hitting
@@ -204,5 +167,5 @@ def solve_docc(
     parity = red.base_parity
     for leaf in red.leaves:
         dual = to_dual_system(leaf)
-        parity ^= count_hitting_sets(dual, oracle_cap) & 1
+        parity ^= count_hitting_sets(dual) & 1
     return parity

@@ -13,16 +13,11 @@ Every transform returns a fresh formula; nothing here mutates.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 Literal = int
 Clause = tuple  # tuple of Literal in canonical order
-
-
-def neg(lit: Literal) -> Literal:
-    return -lit
 
 
 def var_of(lit: Literal) -> int:
@@ -102,9 +97,6 @@ class Formula:
         pos = sum(1 for _, lit in self.occ.get(v, ()) if lit > 0)
         return pos, len(self.occ.get(v, ())) - pos
 
-    def clauses_of(self, v: int) -> list[int]:
-        return [idx for idx, _ in self.occ.get(v, ())]
-
     def is_empty(self) -> bool:
         return not self.clauses and not self.variables
 
@@ -130,9 +122,6 @@ class Formula:
     def __repr__(self) -> str:
         cls = ", ".join("(" + " ".join(str(l) for l in c) + ")" for c in self.clauses)
         return f"Formula(vars={sorted(self.variables)}, clauses=[{cls}])"
-
-    def __iter__(self) -> Iterator[Clause]:
-        return iter(self.clauses)
 
     # -- internal fast path ------------------------------------------------
 
@@ -160,10 +149,6 @@ class Formula:
         object.__setattr__(self, "occ", occ)
         object.__setattr__(self, "_hash", None)
         return self
-
-
-def empty_formula() -> Formula:
-    return Formula((), ())
 
 
 # -- transforms ------------------------------------------------------------
@@ -218,18 +203,6 @@ def falsify_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
     return Formula._derive(phi.variables - vs, kept, added)
 
 
-def add_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
-    """phi[C=1]: conjoin C.  Set semantics: adding a present clause is a
-    no-op."""
-    c = canonical_clause(clause)
-    for lit in c:
-        if var_of(lit) not in phi.variables:
-            raise ValueError(f"variable {var_of(lit)} not in formula")
-    if c in phi.clauses:
-        return phi
-    return Formula._derive(phi.variables, phi.clauses, (c,))
-
-
 def remove_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
     """Drop one clause; the variable set is unchanged."""
     c = canonical_clause(clause)
@@ -273,33 +246,3 @@ def remove_variable(phi: Formula, x: int) -> Formula:
     kept, touched = _split(phi, (x,))
     added = [tuple(l for l in c if abs(l) != x) for c in touched]
     return Formula._derive(phi.variables - {x}, kept, added)
-
-
-# -- statistics ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FormulaStats:
-    n: int
-    m: int
-    length: int
-    m3: int
-    degree_histogram: dict
-    polarity: dict  # variable -> (positive count, negative count)
-
-
-def stats(phi: Formula) -> FormulaStats:
-    hist: dict[int, int] = {}
-    polarity = {}
-    for v in phi.variables:
-        d = phi.degree(v)
-        hist[d] = hist.get(d, 0) + 1
-        polarity[v] = phi.polarity_counts(v)
-    return FormulaStats(
-        n=phi.n,
-        m=phi.m,
-        length=phi.length,
-        m3=phi.m3,
-        degree_histogram=hist,
-        polarity=polarity,
-    )

@@ -47,11 +47,6 @@ def measure_mu(phi: Formula) -> Fraction:
     return total
 
 
-@dataclass
-class LengthConfig:
-    occ2: Occ2Config = field(default_factory=Occ2Config)
-
-
 # -- local structure around a 3-variable ----------------------------------------
 
 
@@ -315,7 +310,7 @@ def _reduce_checked(phi: Formula, tel: Telemetry):
     return out
 
 
-def _solve(psi: Formula, tel: Telemetry, depth: int, cfg: LengthConfig) -> int:
+def _solve(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> int:
     if psi.n <= SUBFORMULA_VAR_CAP:
         # constant-size residue: settle it the way the isolate rule settles
         # small components.  The step analyses lean on the small-subformula
@@ -326,7 +321,7 @@ def _solve(psi: Formula, tel: Telemetry, depth: int, cfg: LengthConfig) -> int:
     step = classify_step(psi)
     if step.kind == "step6":
         occ2_mod.check_occ2(psi)
-        return occ2_mod._solve_reduced(psi, tel, depth, cfg.occ2)
+        return occ2_mod._solve_reduced(psi, tel, depth, cfg)
     if step.kind == "step3_2":
         _check_step32_structure(step)
     claims, joint = _claims_for(step)
@@ -383,11 +378,12 @@ def _solve(psi: Formula, tel: Telemetry, depth: int, cfg: LengthConfig) -> int:
 
 
 def solve_length(
-    phi: Formula, telemetry: Telemetry | None = None, config: LengthConfig | None = None
+    phi: Formula, telemetry: Telemetry | None = None, config: Occ2Config | None = None
 ) -> int:
-    """Parity of an arbitrary CNF formula, polynomial space."""
+    """Parity of an arbitrary CNF formula, polynomial space; ``config``
+    drives the 2-occurrence residue handed to ``occ2``."""
     tel = telemetry if telemetry is not None else Telemetry()
-    cfg = config if config is not None else LengthConfig()
+    cfg = config if config is not None else Occ2Config()
     out = _reduce_checked(phi, tel)
     if out.settled:
         tel.leaf(0, "len.verdict")

@@ -25,6 +25,10 @@ from .reducer import (
 )
 from .telemetry import Telemetry
 
+EPS = 1e-9  # the epsilon of the (1/6 + eps) cut bound
+EXHAUSTIVE_BISECT_BELOW = 13  # bisect exhaustively up to this many vertices
+KL_RESTARTS = 6  # seeded Kernighan-Lin restarts above that size
+
 
 class ContractViolation(ValueError):
     """Input outside the solver's contract (e.g. a 3+-occurrence variable)."""
@@ -237,12 +241,7 @@ def _cut_size(edges, in_a: dict) -> int:
     return sum(1 for e in edges if in_a[e.u] != in_a[e.v])
 
 
-def bisect_multigraph(
-    graph: ClauseMultigraph,
-    seed: int = 0,
-    exhaustive_below: int = 13,
-    restarts: int = 6,
-) -> Partition:
+def bisect_multigraph(graph: ClauseMultigraph, seed: int = 0) -> Partition:
     """Balanced partition of the multigraph vertices with a small cut:
     exhaustive on small graphs, Kernighan-Lin style local search with seeded
     restarts above.  Deterministic for a fixed seed; the cut size carries no
@@ -259,7 +258,7 @@ def bisect_multigraph(
         in_a = {v: (v in a) for v in verts}
         return Partition(a, b, [e for e in edges if in_a[e.u] != in_a[e.v]])
 
-    if nv <= exhaustive_below:
+    if nv <= EXHAUSTIVE_BISECT_BELOW:
         sizes = {(nv + 1) // 2, nv // 2}
         best = None
         others = verts[1:]
@@ -280,7 +279,7 @@ def bisect_multigraph(
         if e.v != e.u:
             incident[e.v].append(e)
     best = None
-    for _ in range(restarts):
+    for _ in range(KL_RESTARTS):
         shuffled = verts[:]
         rng.shuffle(shuffled)
         half = (nv + 1) // 2
@@ -324,14 +323,11 @@ def bisect_multigraph(
 @dataclass
 class Occ2Config:
     n_eps: int = 16
-    eps: float = 1e-9
     seed: int = 0
-    exhaustive_bisect_below: int = 13
-    kl_restarts: int = 6
 
     @property
     def eps_prime(self) -> float:
-        return epsilon_prime(self.n_eps, self.eps)
+        return epsilon_prime(self.n_eps, EPS)
 
 
 def rho_measure(a, b, s_count: int, eps_prime: float) -> float:
@@ -429,16 +425,14 @@ def bisection_solve(
         raise ReducerInvariantError("self-loops survived elimination")
 
     if not b:
-        part = bisect_multigraph(
-            g, cfg.seed, cfg.exhaustive_bisect_below, cfg.kl_restarts
-        )
+        part = bisect_multigraph(g, cfg.seed)
         if part.balance > 1:
             raise ReducerInvariantError("bisection is unbalanced")
         rho_before = rho_measure(a, b, len(crossing_edges(g, a, b)), cfg.eps_prime)
         rho_after = rho_measure(part.a, part.b, len(part.cut), cfg.eps_prime)
         fraction = len(part.cut) / len(g.vertices)
         # the analysis bounds the measure only for cuts within 1/6 + eps
-        checked = fraction <= 1.0 / 6.0 + cfg.eps
+        checked = fraction <= 1.0 / 6.0 + EPS
         tel.event(
             {
                 "kind": "rebisect",

@@ -153,9 +153,6 @@ class SimpleGraph:
     def degree(self, v) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def incident(self, v) -> list:
-        return sorted((e for e in self.edges if v in e), key=sorted)
-
 
 def count_vertex_covers(graph: SimpleGraph, cap: int = 20) -> int:
     """Vertex covers are exactly hitting sets of the edge system."""

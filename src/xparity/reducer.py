@@ -4,7 +4,8 @@ Rules either rewrite the formula (strictly decreasing the potential
 (n, m, L) in lexicographic order) or settle the instance outright with an
 even-parity verdict.  ``reduce_formula`` applies them in a fixed priority
 order, restarting from the first rule after every change; any order is
-correct, a fixed one keeps traces deterministic.
+correct, a fixed one keeps traces deterministic.  ``reduce_counting`` runs
+the same loop over R1-R5 only.
 
 The restart is incremental.  A rule checked and found inapplicable stays
 known inapplicable until a fresh clause appears (one the formula did not
@@ -168,20 +169,20 @@ def _r5(phi: Formula, scope=None):
 
 
 def _r6(phi: Formula):
-    for v in sorted(phi.variables):
-        if phi.degree(v) == 0:
-            return ("verdict", f"0-variable {v}")
+    free = phi.variables.difference(phi.occ)
+    if free:
+        return ("verdict", f"0-variable {min(free)}")
     return None
 
 
 def _r7(phi: Formula):
-    for v in sorted(phi.variables):
-        occs = phi.occ.get(v, ())
-        if len(occs) == 1:
-            cidx, lit = occs[0]
-            clause = phi.clauses[cidx]
-            out = falsify_clause(phi, [-lit] + [l for l in clause if l != lit])
-            return ("changed", out, f"1-variable {v}: {lit}=1, rest of {clause} false")
+    ones = [v for v, occs in phi.occ.items() if len(occs) == 1]
+    if ones:
+        v = min(ones)
+        cidx, lit = phi.occ[v][0]
+        clause = phi.clauses[cidx]
+        out = falsify_clause(phi, [-lit] + [l for l in clause if l != lit])
+        return ("changed", out, f"1-variable {v}: {lit}=1, rest of {clause} false")
     return None
 
 
@@ -390,7 +391,7 @@ def _r13(phi: Formula):
     x = _smallest_hinge(phi)
     if x is None:
         return None
-    x_clauses = set(phi.clauses_of(x))
+    x_clauses = {cidx for cidx, _ in phi.occ[x]}
     for comp in clause_components(phi, skip_var=x):
         if x_clauses.isdisjoint(comp):
             continue
@@ -446,11 +447,28 @@ def apply_rule(phi: Formula, rule_id: str):
     return _RULE_BY_ID[rule_id](phi)
 
 
-def reduce_formula(phi: Formula, keep_details: bool = False) -> ReductionOutcome:
+def reduce_formula(phi: Formula) -> ReductionOutcome:
     """Exhaustively apply the rules: the R(phi) of the analysis.
 
     Parity is preserved (or the verdict 0 is correct), and every step
     strictly decreases (n, m, L) lexicographically, which is asserted.
+    The trace lists (rule id, detail) for every firing.
+    """
+    return _fixpoint(phi, _RULES)
+
+
+def reduce_counting(phi: Formula) -> ReductionOutcome:
+    """Fixpoint of the five counting-safe rules R1-R5 (empty clause,
+    duplicate literals, tautologies, subsumption, unit clauses): they keep
+    the model count itself, not just its parity.  The parity-only rules
+    stay out so the clause-drop bookkeeping of positive reduction stays
+    intact."""
+    return _fixpoint(phi, _RULES[:5])
+
+
+def _fixpoint(phi: Formula, rules) -> ReductionOutcome:
+    """Apply ``rules`` in priority order, restarting from the first after
+    every firing, until none applies.
 
     The rules before the last one to fire are known inapplicable except
     on fresh clauses (see the module docstring), so R1-R5 among them check
@@ -461,12 +479,12 @@ def reduce_formula(phi: Formula, keep_details: bool = False) -> ReductionOutcome
     known = 0  # rules at positions below this are known inapplicable
     fresh = None
     while True:
-        for r, (rule_id, fn) in enumerate(_RULES):
+        for r, (rule_id, fn) in enumerate(rules):
             res = fn(phi, fresh) if r < known and fn in _CLAUSE_LOCAL else fn(phi)
             if res is None:
                 continue
             if res[0] == "verdict":
-                trace.append((rule_id, res[1] if keep_details else ""))
+                trace.append((rule_id, res[1]))
                 return ReductionOutcome(None, 0, trace, potential)
             _, new_phi, detail = res
             new_pot = (new_phi.n, new_phi.m, new_phi.length)
@@ -475,7 +493,7 @@ def reduce_formula(phi: Formula, keep_details: bool = False) -> ReductionOutcome
                     f"{rule_id} did not decrease the potential: "
                     f"{potential[-1]} -> {new_pot}"
                 )
-            trace.append((rule_id, detail if keep_details else ""))
+            trace.append((rule_id, detail))
             potential.append(new_pot)
             old = set(phi.clauses)
             fresh = [k for k, c in enumerate(new_phi.clauses) if c not in old]

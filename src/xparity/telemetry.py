@@ -51,7 +51,7 @@ class LedgerEntry:
 
 
 class Telemetry:
-    """Collects counters, ledger entries and optional JSONL records.
+    """Collects counters and ledger entries, and streams JSONL records.
 
     strict=True raises LedgerViolation on any failed, non-exempt entry;
     solvers run strict by default because a violation means either an
@@ -59,15 +59,13 @@ class Telemetry:
     silently.
     """
 
-    def __init__(self, sink=None, strict: bool = True, keep_records: bool = False):
+    def __init__(self, sink=None, strict: bool = True):
         self.sink = sink
         self.strict = strict
-        self.keep_records = keep_records
         self.nodes = 0
         self.leaves = 0
         self.max_depth = 0
         self.ledger: list[LedgerEntry] = []
-        self.records: list[dict] = []
         self.violations = 0
 
     # -- counters ------------------------------------------------------------
@@ -106,11 +104,9 @@ class Telemetry:
         return entry
 
     def event(self, record: dict):
-        """Stream one JSON-lines record (and keep it when keep_records)."""
+        """Stream one JSON-lines record to the sink, if there is one."""
         if self.sink is not None:
             self.sink.write(json.dumps(record, separators=(",", ":")) + "\n")
-        if self.keep_records:
-            self.records.append(record)
 
     # -- summaries --------------------------------------------------------------
 

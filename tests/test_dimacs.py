@@ -2,13 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xparity.dimacs import (
-    DimacsError,
-    formula_from_json,
-    formula_to_json,
-    parse_dimacs,
-    write_dimacs,
-)
+from xparity.dimacs import DimacsError, parse_dimacs, write_dimacs
 from xparity.formula import Formula
 
 
@@ -46,8 +40,6 @@ def test_write_requires_dense_ids():
     phi = Formula([2, 5], [[2, 5]])
     with pytest.raises(ValueError):
         write_dimacs(phi)
-    text = write_dimacs(phi, remap=True)
-    assert parse_dimacs(text).clauses == ((1, 2),)
 
 
 def dense_formulas():
@@ -66,8 +58,3 @@ def dense_formulas():
 def test_roundtrip_identity(phi):
     assert parse_dimacs(write_dimacs(phi)) == phi
 
-
-@given(dense_formulas())
-@settings(max_examples=150, deadline=None)
-def test_json_roundtrip(phi):
-    assert formula_from_json(formula_to_json(phi)) == phi

@@ -6,7 +6,6 @@ from xparity.docc import (
     NotPositive,
     flip_negative_variables,
     is_positive,
-    primal_system,
     reduce_to_positive,
     solve_docc,
     solve_positive_fib,
@@ -16,14 +15,15 @@ from xparity.factors import fibonacci_constant
 from xparity.formula import Formula
 from xparity.generators import gen_random_docc
 from xparity.occ2 import solve_occ2
-from xparity.oracle import brute_parity, count_hitting_sets, count_set_covers
+from xparity.oracle import SetSystem, brute_parity, count_hitting_sets, count_set_covers
 from xparity.telemetry import Telemetry
 
 
 def test_already_positive_is_single_leaf():
     phi = gen_random_docc(8, 3, 1, 3, seed=2, polarity="positive")
-    red = reduce_to_positive(phi)
-    assert red.branch_count == 0
+    tel = Telemetry()
+    red = reduce_to_positive(phi, tel)
+    assert tel.nodes == 0
     total = red.base_parity
     for leaf in red.leaves:
         assert is_positive(leaf)
@@ -103,7 +103,8 @@ def test_chain_consistency_per_leaf():
     for seed in range(200):
         phi = gen_random_docc(4 + seed % 8, 3, 1, 3, seed=seed, polarity="positive")
         models = brute_parity(phi)
-        hs_primal = count_hitting_sets(primal_system(phi)) & 1
+        primal = SetSystem(phi.variables, [frozenset(c) for c in phi.clauses])
+        hs_primal = count_hitting_sets(primal) & 1
         dual = to_dual_system(phi)
         sc_dual = count_set_covers(dual) & 1
         hs_dual = count_hitting_sets(dual) & 1

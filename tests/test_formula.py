@@ -4,18 +4,14 @@ from hypothesis import strategies as st
 
 from xparity.formula import (
     Formula,
-    add_clause,
     assign_literal,
     canonical_clause,
     clause_sort_key,
-    empty_formula,
     falsify_clause,
     flip_variable,
     merge_variables,
-    neg,
     remove_clause,
     remove_variable,
-    stats,
 )
 from xparity.oracle import brute_count, brute_parity
 from xparity.reducer import subformula
@@ -23,11 +19,6 @@ from xparity.reducer import subformula
 
 def F(nvars, *clauses):
     return Formula(range(1, nvars + 1), clauses)
-
-
-def test_negation_involution():
-    for lit in (1, -1, 7, -42):
-        assert neg(neg(lit)) == lit
 
 
 def test_canonical_clause_ordering():
@@ -88,16 +79,6 @@ def test_falsify_rejects_tautology():
         falsify_clause(phi, [1, -1, 2])
 
 
-def test_add_clause():
-    phi = Formula([1, 2], [])
-    out = add_clause(phi, [1, 2])
-    assert out.m == 1
-    same = add_clause(out, [2, 1])
-    assert same.m == 1
-    out2 = add_clause(out, [1])
-    assert out2.m == 2
-
-
 def test_merge_variables():
     phi = Formula([1, 2, 3], [[1, 3]])
     out = merge_variables(phi, 1, -2)  # x1 := not x2
@@ -148,23 +129,16 @@ def test_flip_preserves_parity_random():
 
 def test_stats_small():
     phi = F(2, [1, 2], [-1, 2])
-    st = stats(phi)
-    assert (st.n, st.m, st.length, st.m3) == (2, 2, 4, 0)
-    assert st.polarity[1] == (1, 1)
-    assert st.polarity[2] == (2, 0)
-
-
-def test_stats_empty():
-    st = stats(empty_formula())
-    assert (st.n, st.m, st.length, st.m3) == (0, 0, 0, 0)
+    assert (phi.n, phi.m, phi.length, phi.m3) == (2, 2, 4, 0)
+    assert phi.polarity_counts(1) == (1, 1)
+    assert phi.polarity_counts(2) == (2, 0)
 
 
 def test_fig2_style_formula_stats():
     # four 3-clauses in a ring plus four 2-clauses chained across, 10 vars
     phi = fig2_formula()
-    st = stats(phi)
-    assert (st.n, st.m, st.m3) == (10, 8, 4)
-    assert st.length == 20
+    assert (phi.n, phi.m, phi.m3) == (10, 8, 4)
+    assert phi.length == 20
 
 
 def fig2_formula():
@@ -263,7 +237,7 @@ def formula_and_moves(draw):
     side = [v * draw(st.sampled_from([1, -1])) for v in side]
     idxs = draw(st.lists(st.integers(0, max(phi.m - 1, 0)), max_size=6)) if phi.m else []
     y_lit = draw(st.sampled_from([y, -y]))
-    return phi, draw(lit), x, y_lit, side, draw(st.lists(lit, max_size=3)), idxs
+    return phi, draw(lit), x, y_lit, side, idxs
 
 
 def assert_same_formula(got, want):
@@ -276,10 +250,10 @@ def assert_same_formula(got, want):
 @given(formula_and_moves())
 # a stripped clause collapses into an existing one; rewritten clauses
 # collapse into each other
-@example((F(3, [1, 2], [1, 2, -3], [1, 2, 3]), -3, 3, 1, [3], [1, 2], [2, 0, 2]))
-@example((F(3, [1, 3], [2, 3], [1, 2, -3], [1, 2]), 2, 3, -1, [-3, 2], [2, 1], [1]))
+@example((F(3, [1, 2], [1, 2, -3], [1, 2, 3]), -3, 3, 1, [3], [2, 0, 2]))
+@example((F(3, [1, 3], [2, 3], [1, 2, -3], [1, 2]), 2, 3, -1, [-3, 2], [1]))
 def test_transforms_equal_canonicalizing_constructor(case):
-    phi, lit, x, y_lit, side, new, idxs = case
+    phi, lit, x, y_lit, side, idxs = case
     vs, cls = phi.variables, phi.clauses
 
     def swap(c, old, new_lit):
@@ -290,7 +264,6 @@ def test_transforms_equal_canonicalizing_constructor(case):
         assign_literal(phi, lit),
         Formula(vs - {v}, [[l for l in c if l != -lit] for c in cls if lit not in c]),
     )
-    assert_same_formula(add_clause(phi, new), Formula(vs, list(cls) + [new]))
     if cls:
         gone = cls[idxs[0]] if idxs else cls[0]
         assert_same_formula(remove_clause(phi, gone), Formula(vs, [c for c in cls if c != gone]))

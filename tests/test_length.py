@@ -162,7 +162,7 @@ def test_step5_shapes_ledger_clean():
         assert solve_length(phi, tel) == brute_parity(phi)
         assert tel.violations == 0
     for n in range(11, 20):
-        tel = Telemetry(strict=True, keep_records=True)
+        tel = Telemetry(strict=True)
         phi = circulant_triples(n)
         assert solve_length(phi, tel) == brute_parity(phi)
         assert tel.violations == 0
@@ -174,7 +174,7 @@ def test_step_ledger_claims_match_table():
     for seed in range(400):
         rng = random.Random(1000 + seed)
         phi = gen_random_docc(rng.randint(11, 17), rng.randint(3, 6), 2, 4, seed=seed)
-        tel = Telemetry(strict=True, keep_records=True)
+        tel = Telemetry(strict=True)
         solve_length(phi, tel)
         for e in tel.ledger:
             if e.step.startswith("len.step") and "drop" in e.claimed:

@@ -1,8 +1,12 @@
+import io
+import json
+
 import pytest
 
 from xparity.formula import Formula
 from xparity.generators import gen_4plus_survivor, gen_random_docc
 from xparity.occ2 import (
+    EPS,
     ContractViolation,
     Occ2Config,
     bisect_multigraph,
@@ -16,6 +20,10 @@ from xparity.occ2 import (
 from xparity.oracle import brute_parity
 from xparity.reducer import reduce_formula
 from xparity.telemetry import Telemetry
+
+
+def records(sink: io.StringIO) -> list[dict]:
+    return [json.loads(line) for line in sink.getvalue().splitlines()]
 
 
 def fig2_formula():
@@ -196,9 +204,9 @@ def test_occ2_forced_bisection_machinery():
 def test_branch_4plus_survivor_family():
     for seed in range(40):
         phi = gen_4plus_survivor(seed)
-        tel = Telemetry(strict=True, keep_records=True)
-        assert solve_occ2(phi, tel) == brute_parity(phi)
-        pair = [r for r in tel.records if r.get("step") == "occ2.4plus-pair"]
+        sink = io.StringIO()
+        assert solve_occ2(phi, Telemetry(sink=sink, strict=True)) == brute_parity(phi)
+        pair = [r for r in records(sink) if r.get("step") == "occ2.4plus-pair"]
         assert pair and all(r["passed"] for r in pair)
 
 
@@ -209,9 +217,9 @@ def test_alternation_of_branch_sides():
     with_parent = 0
     for seed in range(60):
         phi = gen_random_docc(30 + (seed % 5) * 10, 2, 2, 3, seed=seed)
-        tel = Telemetry(strict=True, keep_records=True)
-        solve_occ2(phi, tel, cfg)
-        for r in tel.records:
+        sink = io.StringIO()
+        solve_occ2(phi, Telemetry(sink=sink, strict=True), cfg)
+        for r in records(sink):
             if r.get("kind") == "node" and r["node"] == "occ2.bisect-branch":
                 if r["parent_side"] is not None:
                     assert r["side"] != r["parent_side"]
@@ -253,10 +261,11 @@ def test_rebisect_records_whether_the_measure_was_checked():
     cfg = Occ2Config(n_eps=4)
     seen = set()
     for seed in range(8):
-        tel = Telemetry(strict=True, keep_records=True)
-        solve_occ2(cubic_edge_cover(random.Random(seed), 40), tel, cfg)
-        for r in tel.records:
+        sink = io.StringIO()
+        phi = cubic_edge_cover(random.Random(seed), 40)
+        solve_occ2(phi, Telemetry(sink=sink, strict=True), cfg)
+        for r in records(sink):
             if r["kind"] == "rebisect":
-                assert r["checked"] == (r["cut"] / r["vertices"] <= 1.0 / 6.0 + cfg.eps)
+                assert r["checked"] == (r["cut"] / r["vertices"] <= 1.0 / 6.0 + EPS)
                 seen.add(r["checked"])
     assert seen == {True, False}

@@ -116,9 +116,9 @@ def check_against_naive(phi: Formula, fired: dict | None = None):
         assert got == naive(phi), (rid, phi)
         if fired is not None and got is not None:
             fired[rid] += 1
-    fast = reduce_formula(phi, keep_details=True)
+    fast = reduce_formula(phi)
     with naive_engine():
-        slow = reduce_formula(phi, keep_details=True)
+        slow = reduce_formula(phi)
     assert outcome(fast) == outcome(slow), phi
     if fired is not None:
         for rid, _ in fast.trace:
@@ -127,9 +127,9 @@ def check_against_naive(phi: Formula, fired: dict | None = None):
 
 
 def check_scoped_fixpoint(phi: Formula):
-    out = reduce_formula(phi, keep_details=True)
+    out = reduce_formula(phi)
     with full_scan_engine():
-        full = reduce_formula(phi, keep_details=True)
+        full = reduce_formula(phi)
     assert outcome(out) == outcome(full), phi
     if not out.settled:
         assert is_fixpoint(out.formula), phi

@@ -1,0 +1,46 @@
+"""Every function and class the package exports has a caller in the
+library itself: the public surface holds no code that only tests use."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import xparity
+
+PACKAGE = Path(xparity.__file__).parent
+
+
+def exported_names() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    names = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    return [
+        n
+        for n in names
+        if inspect.isfunction(getattr(xparity, n)) or inspect.isclass(getattr(xparity, n))
+    ]
+
+
+def referenced_names() -> set[str]:
+    """Names used in code (not in def/class lines, docstrings or imports)
+    by the modules other than ``__init__.py``."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_has_a_library_caller():
+    used = referenced_names()
+    unused = [n for n in exported_names() if n not in used]
+    assert not unused, f"exported but never referenced inside xparity: {unused}"
