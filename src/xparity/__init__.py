@@ -2,13 +2,13 @@
 
 Public surface: the Formula value type with its transforms, the reduction
 fixpoint engine, three parity-preserving branching schemes, solvers for the
-2-occurrence and general cases, the positive-formula/dual-system route for
+2-occurrence and general cases, the positive-formula/dual-formula route for
 bounded occurrence, and brute-force oracles everything is tested against.
 """
 
 from .branching import BranchSet, clause_branch, simple_branch, variable_branch
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
-from .docc import reduce_to_positive, solve_docc, solve_positive_fib, to_dual_system
+from .docc import dual_formula, reduce_to_positive, solve_docc, solve_positive_fib
 from .factors import epsilon_prime, tau
 from .formula import Formula, assign_literal
 from .generators import gen_edge_cover_formula, gen_random_docc

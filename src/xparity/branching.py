@@ -21,7 +21,6 @@ from .formula import (
 
 @dataclass
 class BranchSet:
-    pivot: object  # variable id or clause tuple
     children: list
     labels: list  # per-child description
 
@@ -31,7 +30,6 @@ def simple_branch(phi: Formula, x: int) -> BranchSet:
     if x not in phi.variables:
         raise ValueError(f"variable {x} not in formula")
     return BranchSet(
-        pivot=x,
         children=[assign_literal(phi, -x), assign_literal(phi, x)],
         labels=["x=0", "x=1"],
     )
@@ -42,7 +40,6 @@ def clause_branch(phi: Formula, clause) -> BranchSet:
     c = canonical_clause(clause)
     without = remove_clause(phi, c)
     return BranchSet(
-        pivot=c,
         children=[without, falsify_clause(without, c)],
         labels=["drop", "falsify"],
     )
@@ -77,5 +74,5 @@ def variable_branch(phi: Formula, x: int, clause_order=None) -> BranchSet:
         child = Formula._derive(phi.variables, phi.clauses, [s for _, s in items[:i]])
         children.append(falsify_clause(child, side + (-lit,)))
         labels.append(f"first falsified side {i}")
-    return BranchSet(pivot=x, children=children, labels=labels)
+    return BranchSet(children=children, labels=labels)
 

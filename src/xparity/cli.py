@@ -64,8 +64,7 @@ def _run_solver(name: str, phi: Formula, tel: Telemetry, seed: int) -> int:
     if name == "length":
         return solve_length(phi, tel, Occ2Config(seed=seed))
     if name == "docc":
-        d = max((phi.degree(v) for v in phi.variables), default=0)
-        return solve_docc(phi, max(d, 1), tel)
+        return solve_docc(phi, telemetry=tel)
     if name == "positive-fib":
         return solve_positive_fib(phi, telemetry=tel)
     if name == "2cnf":

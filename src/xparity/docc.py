@@ -5,17 +5,18 @@ drops one clause on the keep side and at least two on the falsify side, so
 every formula reduces to a tree of all-positive leaves.  A positive
 formula's models are exactly the hitting sets of its clause system; passing
 to the dual system turns those into set covers, whose count agrees with the
-dual hitting-set count modulo 2.  At desk scale the terminal counter is the
-brute-force oracle.
+dual hitting-set count modulo 2.  The dual hitting sets are the models of
+a positive formula again, one variable per clause, so each leaf is settled
+by ``solve_length`` on its dual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterator
 
 from .branching import clause_branch, variable_branch
 from .formula import Formula, clause_sort_key, flip_variable
-from .oracle import SetSystem, count_hitting_sets
+from .length import solve_length
 from .reducer import reduce_counting
 from .telemetry import Telemetry
 
@@ -28,28 +29,20 @@ def is_positive(phi: Formula) -> bool:
     return all(l > 0 for c in phi.clauses for l in c)
 
 
-def flip_negative_variables(phi: Formula) -> tuple[Formula, tuple]:
-    flipped = []
+def flip_negative_variables(phi: Formula) -> Formula:
     for v in sorted(phi.variables):
         pos, negc = phi.polarity_counts(v)
         if pos == 0 and negc > 0:
             phi = flip_variable(phi, v)
-            flipped.append(v)
-    return phi, tuple(flipped)
+    return phi
 
 
-@dataclass
-class PositiveReduction:
-    leaves: list  # positive formulas still to be evaluated
-    base_parity: int  # XOR of leaves settled during reduction
-
-
-def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> PositiveReduction:
-    """Branch until only positive formulas remain; XOR over all leaves
-    reproduces the input parity.  Per branch the clause count drops by at
-    least 1 (keep side) and 2 (falsify side), which is asserted."""
+def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Iterator[Formula]:
+    """Branch until only positive formulas remain, yielding each one as it
+    is reached; the XOR of their parities is the input parity.  Only the
+    DFS stack is held.  Per branch the clause count drops by at least 1
+    (keep side) and 2 (falsify side), which is asserted."""
     tel = telemetry if telemetry is not None else Telemetry()
-    result = PositiveReduction(leaves=[], base_parity=0)
     stack = [(phi, 0)]
     while stack:
         cur, depth = stack.pop()
@@ -57,16 +50,10 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Posi
         if out.settled:
             tel.leaf(depth, "docc.verdict")
             continue
-        cur, _ = flip_negative_variables(out.formula)
-        if not cur.clauses:
-            # free variables double the count; only the fully assigned
-            # formula contributes an odd leaf
-            tel.leaf(depth, "docc.trivial")
-            result.base_parity ^= 1 if cur.n == 0 else 0
-            continue
+        cur = flip_negative_variables(out.formula)
         if is_positive(cur):
             tel.leaf(depth, "docc.positive-leaf")
-            result.leaves.append(cur)
+            yield cur
             continue
         x = min(
             v for v in cur.variables if 0 not in cur.polarity_counts(v) and cur.degree(v) > 0
@@ -101,7 +88,6 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Posi
                 note=branch.labels[i],
             )
             stack.append((out.formula, depth + 1))
-    return result
 
 
 def solve_positive_fib(
@@ -140,32 +126,32 @@ def _fib(phi: Formula, tel: Telemetry, depth: int) -> int:
     return parity
 
 
-def to_dual_system(phi: Formula) -> SetSystem:
-    """Dual of a positive formula: universe the clause indices, one set per
-    variable holding the clauses it appears in.  d-occ input means every
-    dual set has size at most d."""
+def dual_formula(phi: Formula) -> Formula:
+    """Dual of a positive formula: one variable per clause (clause index
+    plus one), and one positive clause per variable holding the clauses it
+    appears in.  Its models are the dual hitting sets.  d-occ input means
+    every dual clause has length at most d."""
     if not is_positive(phi):
-        raise NotPositive("dual system is defined for positive formulas")
-    family = []
-    for v in sorted(phi.variables):
-        family.append(frozenset(cidx for cidx, _ in phi.occ.get(v, ())))
-    return SetSystem(frozenset(range(phi.m)), tuple(family))
+        raise NotPositive("dual formula is defined for positive formulas")
+    return Formula(
+        range(1, phi.m + 1),
+        [[cidx + 1 for cidx, _ in phi.occ.get(v, ())] for v in phi.variables],
+    )
 
 
 def solve_docc(
     phi: Formula, d: int | None = None, telemetry: Telemetry | None = None
 ) -> int:
-    """Reduce to positive leaves, then settle each leaf through the dual
-    chain: models = primal hitting sets = dual set covers = dual hitting
-    sets (mod 2), the last evaluated by enumeration."""
+    """Reduce to positive leaves, then settle each leaf as it is reached
+    through the dual chain: models = primal hitting sets = dual set covers
+    = dual hitting sets (mod 2), the last being the models of the dual
+    formula, counted by ``solve_length``."""
     if d is not None:
         worst = max((phi.degree(v) for v in phi.variables), default=0)
         if worst > d:
             raise ValueError(f"degree {worst} exceeds the declared bound {d}")
     tel = telemetry if telemetry is not None else Telemetry()
-    red = reduce_to_positive(phi, tel)
-    parity = red.base_parity
-    for leaf in red.leaves:
-        dual = to_dual_system(leaf)
-        parity ^= count_hitting_sets(dual) & 1
+    parity = 0
+    for leaf in reduce_to_positive(phi, tel):
+        parity ^= solve_length(dual_formula(leaf), tel)
     return parity

@@ -52,10 +52,7 @@ def measure_mu(phi: Formula) -> Fraction:
 
 @dataclass
 class LocalStructure:
-    x: int
-    clause_idxs: tuple
     y_x: frozenset
-    r_x: tuple  # clause indices holding the remaining occurrences
     ext_x: frozenset
     proper: bool
 
@@ -76,14 +73,7 @@ def compute_ext(phi: Formula, x: int) -> LocalStructure:
             if v != x:
                 inside[v] = inside.get(v, 0) + 1
     y_x = frozenset(v for v, cnt in inside.items() if phi.degree(v) - cnt == 1)
-    r_idx = sorted(
-        {
-            cidx
-            for v in y_x
-            for cidx, _ in phi.occ[v]
-            if cidx not in cidxs
-        }
-    )
+    r_idx = {cidx for v in y_x for cidx, _ in phi.occ[v] if cidx not in cidxs}
     r_vars = {var_of(l) for i in r_idx for l in phi.clauses[i]}
     ext = frozenset(r_vars - y_x)
     sides = [
@@ -92,10 +82,7 @@ def compute_ext(phi: Formula, x: int) -> LocalStructure:
     disjoint = sum(len(s) for s in sides) == len({v for s in sides for v in s})
     all_three = all(phi.degree(v) == 3 for v in inside)
     return LocalStructure(
-        x=x,
-        clause_idxs=cidxs,
         y_x=y_x,
-        r_x=tuple(r_idx),
         ext_x=ext,
         proper=disjoint and all_three,
     )
@@ -161,8 +148,7 @@ def classify_step(phi: Formula) -> Step:
         for x in three_vars:
             if any(len(phi.clauses[cidx]) == 2 for cidx, _ in phi.occ[x]):
                 psi, flips = _normalize(phi, x)
-                c = sum(1 for cidx, _ in psi.occ[x] if len(psi.clauses[cidx]) == 2)
-                return Step("step4", psi, x, flips, info={"c": c})
+                return Step("step4", psi, x, flips)
 
         # stage claim: every 3-variable is now pure and lives in 3-clauses only
         for x in three_vars:

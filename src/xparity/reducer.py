@@ -47,8 +47,6 @@ from .oracle import brute_parity
 
 SUBFORMULA_VAR_CAP = 10  # threshold from the isolate/semi-isolate rules
 
-RULE_IDS = tuple(f"R{i}" for i in range(1, 14))
-
 
 class ReducerInvariantError(AssertionError):
     """The fixpoint engine observed something the rules promise impossible."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import deque
 
 from .branching import clause_branch, variable_branch
 from .dimacs import parse_dimacs, write_dimacs
@@ -312,7 +313,7 @@ def criterion_5_measure_ledgers(quick: bool = False):
     for seed in range(_scale(1_000, quick)):
         rng = random.Random(22_000_000 + seed)
         phi = gen_random_docc(rng.randint(4, 12), rng.randint(2, 4), 1, 4, seed=seed)
-        run(lambda p, t: reduce_to_positive(p, t) and None, phi)
+        run(lambda p, t: deque(reduce_to_positive(p, t), maxlen=0), phi)
 
     summary = tel.ledger_summary()
     want_steps = {

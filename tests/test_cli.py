@@ -1,11 +1,14 @@
 import json
+import random
 
 import pytest
 
+from test_occ2 import cubic_edge_cover
 from xparity import cli
 from xparity.cli import main
 from xparity.dimacs import parse_dimacs, write_dimacs
 from xparity.generators import gen_random_docc
+from xparity.occ2 import solve_occ2
 from xparity.oracle import brute_parity
 from xparity.reducer import ReducerInvariantError
 from xparity.telemetry import LedgerViolation
@@ -56,6 +59,14 @@ def test_solve_every_solver_agrees(tmp_path, capsys):
     for solver in ("auto", "occ2", "length", "docc", "brute"):
         code, out, _ = run(capsys, "solve", "--solver", solver, "--input", path)
         assert code == 0 and out.startswith(want), solver
+
+
+def test_solve_docc_beyond_oracle_scale(tmp_path, capsys):
+    phi = cubic_edge_cover(random.Random(24), 24)
+    path = write_instance(tmp_path, phi)
+    code, out, _ = run(capsys, "solve", "--solver", "docc", "--input", path)
+    assert code == 0
+    assert out.startswith(f"parity: {solve_occ2(phi)}")
 
 
 def test_solve_explain_lists_rules(tmp_path, capsys):

@@ -2,40 +2,46 @@ import random
 
 import pytest
 
+from test_occ2 import cubic_edge_cover
 from xparity.docc import (
     NotPositive,
+    dual_formula,
     flip_negative_variables,
     is_positive,
     reduce_to_positive,
     solve_docc,
     solve_positive_fib,
-    to_dual_system,
 )
 from xparity.factors import fibonacci_constant
-from xparity.formula import Formula
+from xparity.formula import Formula, flip_variable
 from xparity.generators import gen_random_docc
+from xparity.length import solve_length
 from xparity.occ2 import solve_occ2
-from xparity.oracle import SetSystem, brute_parity, count_hitting_sets, count_set_covers
+from xparity.oracle import (
+    SetSystem,
+    brute_count,
+    brute_parity,
+    count_hitting_sets,
+    count_set_covers,
+)
 from xparity.telemetry import Telemetry
 
 
 def test_already_positive_is_single_leaf():
     phi = gen_random_docc(8, 3, 1, 3, seed=2, polarity="positive")
     tel = Telemetry()
-    red = reduce_to_positive(phi, tel)
-    assert tel.nodes == 0
-    total = red.base_parity
-    for leaf in red.leaves:
+    total = 0
+    for leaf in reduce_to_positive(phi, tel):
         assert is_positive(leaf)
         total ^= brute_parity(leaf)
+    assert tel.nodes == 0
     assert total == brute_parity(phi)
 
 
 def test_mixed_two_clause_example():
     phi = Formula([1, 2, 3], [[1, 2], [-1, 3]])
-    red = reduce_to_positive(phi)
-    total = red.base_parity
-    for leaf in red.leaves:
+    total = 0
+    for leaf in reduce_to_positive(phi):
         total ^= brute_parity(leaf)
     assert total == brute_parity(phi)
 
@@ -45,9 +51,8 @@ def test_reduce_to_positive_xor_fuzz():
         rng = random.Random(seed)
         phi = gen_random_docc(rng.randint(3, 12), rng.randint(2, 4), 1, 4, seed=seed)
         tel = Telemetry(strict=True)
-        red = reduce_to_positive(phi, tel)
-        total = red.base_parity
-        for leaf in red.leaves:
+        total = 0
+        for leaf in reduce_to_positive(phi, tel):
             assert is_positive(leaf)
             total ^= brute_parity(leaf)
         assert total == brute_parity(phi), seed
@@ -56,9 +61,15 @@ def test_reduce_to_positive_xor_fuzz():
 
 def test_flip_negative_variables():
     phi = Formula([1, 2], [[-1, 2], [-1, -2]])
-    flipped, which = flip_negative_variables(phi)
-    assert which == (1,)
-    assert all(any(l == 1 for l in c) or 1 not in {abs(x) for x in c} for c in flipped.clauses)
+    assert flip_negative_variables(phi) == flip_variable(phi, 1)
+
+
+def test_leaves_are_generated_one_at_a_time():
+    # the full tree of this instance has about 59k nodes; the first positive
+    # leaf is reached after a handful of branchings
+    tel = Telemetry()
+    next(reduce_to_positive(gen_random_docc(40, 3, 2, 3, seed=0), tel))
+    assert tel.nodes < 100
 
 
 def test_single_positive_clause_parity():
@@ -85,18 +96,15 @@ def test_fib_oracle_fuzz_and_leaf_growth():
 
 def test_dual_system_shape():
     phi = Formula([1, 2, 3], [[1, 2], [2, 3]])
-    dual = to_dual_system(phi)
-    assert dual.universe == frozenset({0, 1})
-    assert sorted(dual.family, key=sorted) == [
-        frozenset({0}),
-        frozenset({0, 1}),
-        frozenset({1}),
-    ]
-    # d-occ input: every dual set has size at most d
+    assert dual_formula(phi) == Formula([1, 2], [[1], [1, 2], [2]])
+    # clause-free leaves: a free variable gives an empty dual clause
+    assert dual_formula(Formula([], [])) == Formula([], [])
+    assert dual_formula(Formula([1], [])) == Formula([], [[]])
+    # d-occ input: every dual clause has length at most d
     for seed in range(100):
         d = 2 + seed % 3
         psi = gen_random_docc(8, d, 1, 3, seed=seed, polarity="positive")
-        assert all(len(s) <= d for s in to_dual_system(psi).family)
+        assert all(len(c) <= d for c in dual_formula(psi).clauses)
 
 
 def test_chain_consistency_per_leaf():
@@ -105,10 +113,15 @@ def test_chain_consistency_per_leaf():
         models = brute_parity(phi)
         primal = SetSystem(phi.variables, [frozenset(c) for c in phi.clauses])
         hs_primal = count_hitting_sets(primal) & 1
-        dual = to_dual_system(phi)
+        dual = SetSystem(
+            frozenset(range(phi.m)),
+            [frozenset(cidx for cidx, _ in phi.occ.get(v, ())) for v in sorted(phi.variables)],
+        )
         sc_dual = count_set_covers(dual) & 1
-        hs_dual = count_hitting_sets(dual) & 1
-        assert models == hs_primal == sc_dual == hs_dual, seed
+        hs_dual = count_hitting_sets(dual)
+        # the dual formula's models are exactly the dual hitting sets
+        assert brute_count(dual_formula(phi)) == hs_dual, seed
+        assert models == hs_primal == sc_dual == hs_dual & 1, seed
 
 
 def test_solve_docc_three_way_cross_check():
@@ -127,6 +140,15 @@ def test_solve_docc_agrees_with_occ2_at_d2():
     for seed in range(200):
         phi = gen_random_docc(4 + seed % 10, 2, 1, 3, seed=seed)
         assert solve_docc(phi, 2) == solve_occ2(phi), seed
+
+
+def test_solve_docc_on_cubic_edge_covers():
+    # 24 vertices is where the capped brute-force terminal used to give out
+    for nv in (24, 50):
+        phi = cubic_edge_cover(random.Random(nv), nv)
+        tel = Telemetry(strict=True)
+        assert solve_docc(phi, telemetry=tel) == solve_occ2(phi) == solve_length(phi), nv
+        assert tel.violations == 0
 
 
 def test_docc_rejects_degree_overflow():

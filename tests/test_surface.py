@@ -1,8 +1,10 @@
 """Every function and class the package exports has a caller in the
-library itself: the public surface holds no code that only tests use."""
+library itself: the public surface holds no code that only tests use.  No
+solver route ends in a capped brute-force count."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import xparity
@@ -44,3 +46,23 @@ def test_every_export_has_a_library_caller():
     used = referenced_names()
     unused = [n for n in exported_names() if n not in used]
     assert not unused, f"exported but never referenced inside xparity: {unused}"
+
+
+SOLVER_MODULES = ("reducer", "branching", "occ2", "length", "docc")
+CAPPED_COUNTERS = {
+    "brute_count",
+    "count_hitting_sets",
+    "count_set_covers",
+    "count_vertex_covers",
+    "count_edge_covers",
+    "inclusion_exclusion_edge_covers",
+}
+
+
+def test_solvers_use_no_capped_counter():
+    # brute_parity stays allowed: the reducer settles subformulas of at most
+    # SUBFORMULA_VAR_CAP variables with it
+    for module in SOLVER_MODULES:
+        source = (PACKAGE / f"{module}.py").read_text()
+        found = sorted(n for n in CAPPED_COUNTERS if re.search(rf"\b{n}\b", source))
+        assert not found, (module, found)
