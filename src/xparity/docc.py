@@ -41,16 +41,18 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Iter
     """Branch until only positive formulas remain, yielding each one as it
     is reached; the XOR of their parities is the input parity.  Only the
     DFS stack is held.  Per branch the clause count drops by at least 1
-    (keep side) and 2 (falsify side), which is asserted."""
+    (keep side) and 2 (falsify side), which is asserted.  Each child is
+    reduced once, for that check, and pushed reduced."""
     tel = telemetry if telemetry is not None else Telemetry()
-    stack = [(phi, 0)]
+    out = reduce_counting(phi)
+    if out.settled:
+        tel.leaf(0, "docc.verdict")
+        return
+    stack = [(out.formula, 0)]
     while stack:
         cur, depth = stack.pop()
-        out = reduce_counting(cur)
-        if out.settled:
-            tel.leaf(depth, "docc.verdict")
-            continue
-        cur = flip_negative_variables(out.formula)
+        # flipping renames variables, so R1-R5 stay at their fixpoint
+        cur = flip_negative_variables(cur)
         if is_positive(cur):
             tel.leaf(depth, "docc.positive-leaf")
             yield cur
@@ -90,19 +92,13 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Iter
             stack.append((out.formula, depth + 1))
 
 
-def solve_positive_fib(
-    phi: Formula, d: int | None = None, telemetry: Telemetry | None = None
-) -> int:
+def solve_positive_fib(phi: Formula, telemetry: Telemetry | None = None) -> int:
     """Variable branching on a maximum-degree variable of a positive formula;
     the branching vector (d, d-1, ..., 1) gives the d-th order Fibonacci
     constant as growth base."""
     if not is_positive(phi):
         raise NotPositive("solve_positive_fib needs a positive formula")
     tel = telemetry if telemetry is not None else Telemetry()
-    if d is not None:
-        worst = max((phi.degree(v) for v in phi.variables), default=0)
-        if worst > d:
-            raise ValueError(f"degree {worst} exceeds the declared bound {d}")
     return _fib(phi, tel, 0)
 
 
@@ -139,17 +135,11 @@ def dual_formula(phi: Formula) -> Formula:
     )
 
 
-def solve_docc(
-    phi: Formula, d: int | None = None, telemetry: Telemetry | None = None
-) -> int:
+def solve_docc(phi: Formula, telemetry: Telemetry | None = None) -> int:
     """Reduce to positive leaves, then settle each leaf as it is reached
     through the dual chain: models = primal hitting sets = dual set covers
     = dual hitting sets (mod 2), the last being the models of the dual
     formula, counted by ``solve_length``."""
-    if d is not None:
-        worst = max((phi.degree(v) for v in phi.variables), default=0)
-        if worst > d:
-            raise ValueError(f"degree {worst} exceeds the declared bound {d}")
     tel = telemetry if telemetry is not None else Telemetry()
     parity = 0
     for leaf in reduce_to_positive(phi, tel):

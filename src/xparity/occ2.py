@@ -272,45 +272,47 @@ def bisect_multigraph(graph: ClauseMultigraph, seed: int = 0) -> Partition:
                     best = (key, a)
         return finish(best[1])
 
+    # Kernighan-Lin on vertex indices: swapping i in A with j in B lowers
+    # the cut by d[i] + d[j] - 2*w[i][j], where d is external minus internal
+    # edge count and w counts the edges between i and j.  Each pass takes
+    # the first pair of greatest positive gain in (A order, B order).
+    index = {v: i for i, v in enumerate(verts)}
+    pairs = [(index[e.u], index[e.v]) for e in edges]
+    w = [[0] * nv for _ in range(nv)]
+    for u, v in pairs:
+        w[u][v] += 1
+        w[v][u] += 1
     rng = random.Random(seed)
-    incident: dict = {v: [] for v in verts}
-    for e in edges:
-        incident[e.u].append(e)
-        if e.v != e.u:
-            incident[e.v].append(e)
     best = None
     for _ in range(KL_RESTARTS):
-        shuffled = verts[:]
-        rng.shuffle(shuffled)
-        half = (nv + 1) // 2
-        in_a = {v: i < half for i, v in enumerate(shuffled)}
-        cut = _cut_size(edges, in_a)
-        improved = True
-        while improved:
-            improved = False
+        order = list(range(nv))
+        rng.shuffle(order)
+        in_a = [False] * nv
+        for i in order[: (nv + 1) // 2]:
+            in_a[i] = True
+        cut = sum(1 for u, v in pairs if in_a[u] != in_a[v])
+        while True:
+            d = [0] * nv
+            for u, v in pairs:
+                s = 1 if in_a[u] != in_a[v] else -1
+                d[u] += s
+                d[v] += s
+            a_side = [i for i in range(nv) if in_a[i]]
+            b_side = [j for j in range(nv) if not in_a[j]]
             best_gain, best_pair = 0, None
-            a_side = [v for v in verts if in_a[v]]
-            b_side = [v for v in verts if not in_a[v]]
-            for va in a_side:
-                for vb in b_side:
-                    touched = {id(e): e for e in incident[va] + incident[vb]}
-                    before = sum(
-                        1 for e in touched.values() if in_a[e.u] != in_a[e.v]
-                    )
-                    in_a[va], in_a[vb] = False, True
-                    after = sum(
-                        1 for e in touched.values() if in_a[e.u] != in_a[e.v]
-                    )
-                    in_a[va], in_a[vb] = True, False
-                    gain = before - after
-                    if gain > best_gain:
-                        best_gain, best_pair = gain, (va, vb)
-            if best_pair is not None:
-                va, vb = best_pair
-                in_a[va], in_a[vb] = False, True
-                cut -= best_gain
-                improved = True
-        a = frozenset(v for v in verts if in_a[v])
+            for i in a_side:
+                wi = w[i]
+                row = [d[j] - 2 * wi[j] for j in b_side]
+                top = max(row)
+                if d[i] + top > best_gain:
+                    best_gain = d[i] + top
+                    best_pair = (i, b_side[row.index(top)])
+            if best_pair is None:
+                break
+            i, j = best_pair
+            in_a[i], in_a[j] = False, True
+            cut -= best_gain
+        a = frozenset(v for v, side in zip(verts, in_a) if side)
         key = (cut, tuple(sorted(map(clause_sort_key, a))))
         if best is None or key < best[0]:
             best = (key, a)

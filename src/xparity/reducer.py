@@ -134,7 +134,13 @@ def _r4(phi: Formula, scope=None):
     """The least pair (i, j) in index order with clause i a proper subset
     of clause j, over the pairs with i or j in the scope; drop clause j.
     A scope is only given once R1 found no empty clause."""
-    sets = _clause_sets(phi)
+    if scope is None or not all(phi.clauses[i] for i in scope):
+        sets = _clause_sets(phi)
+    else:
+        # a clause compared with a non-empty scope clause shares a variable
+        # with it, so only those clauses need a set
+        near = {j for i in scope for l in phi.clauses[i] for j, _ in phi.occ[var_of(l)]}
+        sets = {j: frozenset(phi.clauses[j]) for j in near}
     pairs = []
     for i, _ in _scoped(phi, scope):
         j = _first_superset(phi, sets, i)
@@ -185,12 +191,11 @@ def _r7(phi: Formula):
 
 
 def _r8(phi: Formula):
-    sets = _clause_sets(phi)
     for v in sorted(phi.variables):
         occs = phi.occ.get(v, ())
         if not occs:
             continue
-        common = set.intersection(*(set(sets[cidx]) for cidx, _ in occs))
+        common = set.intersection(*(set(phi.clauses[cidx]) for cidx, _ in occs))
         common.discard(v)
         common.discard(-v)
         if common:

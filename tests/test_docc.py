@@ -72,6 +72,21 @@ def test_leaves_are_generated_one_at_a_time():
     assert tel.nodes < 100
 
 
+def test_each_child_is_reduced_once(monkeypatch):
+    # one reduction for the root and one per child, none again when a
+    # reduced child is popped
+    from xparity import docc
+
+    calls = []
+    reduce = docc.reduce_counting
+    monkeypatch.setattr(docc, "reduce_counting", lambda phi: calls.append(1) or reduce(phi))
+    tel = Telemetry()
+    for _ in reduce_to_positive(gen_random_docc(30, 3, 2, 3, seed=0), tel):
+        pass
+    assert tel.nodes > 1000
+    assert len(calls) == 1 + 2 * tel.nodes
+
+
 def test_single_positive_clause_parity():
     phi = Formula([1, 2, 3], [[1, 2, 3]])
     assert solve_positive_fib(phi) == 1  # 7 models
@@ -89,7 +104,7 @@ def test_fib_oracle_fuzz_and_leaf_growth():
         for seed in range(200):
             phi = gen_random_docc(4 + seed % 9, d, 1, 4, seed=seed, polarity="positive")
             tel = Telemetry(strict=True)
-            assert solve_positive_fib(phi, d, tel) == brute_parity(phi), (d, seed)
+            assert solve_positive_fib(phi, tel) == brute_parity(phi), (d, seed)
             if phi.m:
                 assert tel.leaves <= 40 * bound ** phi.m
 
@@ -130,16 +145,16 @@ def test_solve_docc_three_way_cross_check():
         d = rng.randint(2, 4)
         phi = gen_random_docc(rng.randint(3, 12), d, 1, 4, seed=seed)
         want = brute_parity(phi)
-        assert solve_docc(phi, d) == want, seed
+        assert solve_docc(phi) == want, seed
     for seed in range(200):
         phi = gen_random_docc(4 + seed % 9, 3, 1, 3, seed=seed, polarity="positive")
-        assert solve_docc(phi, 3) == solve_positive_fib(phi, 3) == brute_parity(phi), seed
+        assert solve_docc(phi) == solve_positive_fib(phi) == brute_parity(phi), seed
 
 
 def test_solve_docc_agrees_with_occ2_at_d2():
     for seed in range(200):
         phi = gen_random_docc(4 + seed % 10, 2, 1, 3, seed=seed)
-        assert solve_docc(phi, 2) == solve_occ2(phi), seed
+        assert solve_docc(phi) == solve_occ2(phi), seed
 
 
 def test_solve_docc_on_cubic_edge_covers():
@@ -149,9 +164,3 @@ def test_solve_docc_on_cubic_edge_covers():
         tel = Telemetry(strict=True)
         assert solve_docc(phi, telemetry=tel) == solve_occ2(phi) == solve_length(phi), nv
         assert tel.violations == 0
-
-
-def test_docc_rejects_degree_overflow():
-    phi = Formula([1, 2], [[1, 2], [1], [-1]])
-    with pytest.raises(ValueError):
-        solve_docc(phi, 2)
