@@ -45,23 +45,19 @@ def clause_branch(phi: Formula, clause) -> BranchSet:
     )
 
 
-def variable_branch(phi: Formula, x: int, clause_order=None) -> BranchSet:
+def variable_branch(phi: Formula, x: int) -> BranchSet:
     """Branch over which clause of x is the first to have its side falsified.
 
-    With x in clauses (l1 v C1), ..., (ld v Cd), the i-th child is
-    phi[C1=1, ..., C_{i-1}=1, Ci=0, li=1]: earlier sides are added back as
-    clauses, the i-th side falsified, and x's literal in it satisfied.  The
-    case with every side satisfied makes x a free variable, so it carries no
-    parity and is dropped.
+    With x in clauses (l1 v C1), ..., (ld v Cd) in clause order, the i-th
+    child is phi[C1=1, ..., C_{i-1}=1, Ci=0, li=1]: earlier sides are added
+    back as clauses, the i-th side falsified, and x's literal in it
+    satisfied.  The case with every side satisfied makes x a free variable,
+    so it carries no parity and is dropped.
     """
     occs = phi.occ.get(x, ())
     if not occs:
         raise ValueError(f"variable {x} does not occur")
     items = [(lit, tuple(l for l in phi.clauses[cidx] if l != lit)) for cidx, lit in occs]
-    if clause_order is not None:
-        want = [canonical_clause(c) for c in clause_order]
-        by_full = {canonical_clause(side + (lit,)): (lit, side) for lit, side in items}
-        items = [by_full[c] for c in want]
     for _, side in items:
         s = set(side)
         if any(-l in s for l in s):

@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from .branching import clause_branch, variable_branch
-from .formula import Formula, clause_sort_key, flip_variable
+from .formula import Formula, flip_variable
 from .length import solve_length
-from .reducer import reduce_counting
+from .reducer import reduce_formula
 from .telemetry import Telemetry
 
 
@@ -29,12 +29,19 @@ def is_positive(phi: Formula) -> bool:
     return all(l > 0 for c in phi.clauses for l in c)
 
 
-def flip_negative_variables(phi: Formula) -> Formula:
-    for v in sorted(phi.variables):
-        pos, negc = phi.polarity_counts(v)
-        if pos == 0 and negc > 0:
+def flip_negative_variables(phi: Formula) -> tuple[Formula, list[int]]:
+    """Flip every purely negative variable.  Returns the new formula and its
+    mixed variables, ascending, from one scan of the occurrence index (flips
+    leave mixed variables alone); it is positive when none is mixed."""
+    occ = phi.occ
+    mixed = []
+    for v in sorted(occ):
+        pos = sum(1 for _, lit in occ[v] if lit > 0)
+        if pos == 0:
             phi = flip_variable(phi, v)
-    return phi
+        elif pos < len(occ[v]):
+            mixed.append(v)
+    return phi, mixed
 
 
 def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Iterator[Formula]:
@@ -42,33 +49,37 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Iter
     is reached; the XOR of their parities is the input parity.  Only the
     DFS stack is held.  Per branch the clause count drops by at least 1
     (keep side) and 2 (falsify side), which is asserted.  Each child is
-    reduced once, for that check, and pushed reduced."""
+    reduced once by ``reduce_formula``, for that check, and pushed reduced.
+
+    Reduction never raises m: every rule maps each clause to at most one
+    clause, so it only adds to the clause drops.  Only R11 raises a degree:
+    merging a into b leaves var(b) at most deg(a) + deg(b) - 4 occurrences.
+    So d-occ input with d <= 4 keeps every degree, hence every dual clause
+    length, at most d; above that the bound can fail, and each positive
+    leaf's record carries its longest dual clause as ``max_degree``."""
     tel = telemetry if telemetry is not None else Telemetry()
-    out = reduce_counting(phi)
+    out = reduce_formula(phi)
     if out.settled:
         tel.leaf(0, "docc.verdict")
         return
     stack = [(out.formula, 0)]
     while stack:
         cur, depth = stack.pop()
-        # flipping renames variables, so R1-R5 stay at their fixpoint
-        cur = flip_negative_variables(cur)
-        if is_positive(cur):
-            tel.leaf(depth, "docc.positive-leaf")
+        # flipping renames variables, so the rules stay at their fixpoint
+        cur, mixed = flip_negative_variables(cur)
+        if not mixed:
+            longest = max(map(len, cur.occ.values()), default=0)  # dual clause
+            tel.leaf(depth, "docc.positive-leaf", {"max_degree": longest})
             yield cur
             continue
-        x = min(
-            v for v in cur.variables if 0 not in cur.polarity_counts(v) and cur.degree(v) > 0
-        )
-        pivot = min(
-            (cur.clauses[cidx] for cidx, lit in cur.occ[x] if lit > 0),
-            key=clause_sort_key,
-        )
+        x = mixed[0]
+        # clauses are stored sorted, so this is the least positive clause of x
+        pivot = next(cur.clauses[cidx] for cidx, lit in cur.occ[x] if lit > 0)
         tel.node(depth, "docc.to-positive", {"pivot": list(pivot), "on": x})
         branch = clause_branch(cur, pivot)
         claims = [1, 2]
         for i, child in enumerate(branch.children):
-            out = reduce_counting(child)
+            out = reduce_formula(child)
             if out.settled:
                 tel.check(
                     "docc.to-positive",

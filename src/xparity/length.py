@@ -248,9 +248,7 @@ def _branch_for(step: Step):
         (neg_cidx,) = [cidx for cidx, lit in phi.occ[x] if lit < 0]
         return clause_branch(phi, phi.clauses[neg_cidx])
     if step.kind == "step5_2":
-        x = step.pivot
-        order = sorted((phi.clauses[cidx] for cidx, _ in phi.occ[x]), key=clause_sort_key)
-        return variable_branch(phi, x, clause_order=order)
+        return variable_branch(phi, step.pivot)
     raise ValueError(step.kind)
 
 

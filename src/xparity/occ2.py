@@ -21,6 +21,7 @@ from .reducer import (
     ReducerInvariantError,
     clause_components,
     reduce_formula,
+    remove_hinged_side,
     subformula,
 )
 from .telemetry import Telemetry
@@ -200,14 +201,8 @@ def eliminate_self_loops(phi: Formula):
         p0 = solve_2cnf(assign_literal(sub, -hinge))
         if p0 == 0 and p1 == 0:
             return ("parity", 0)
-        gone = set(idxs)
-        keep = [c for i, c in enumerate(phi.clauses) if i not in gone]
-        rest = Formula._derive(phi.variables - (sub.variables - {hinge}), keep)
-        if p0 != p1:
-            # the hinge is forced; when both are odd it stays unassigned and
-            # the reducer settles any leftover degeneracy
-            rest = assign_literal(rest, hinge if p1 == 1 else -hinge)
-        out = reduce_formula(rest)
+        # the reducer settles any degeneracy an unassigned hinge leaves
+        out = reduce_formula(remove_hinged_side(phi, idxs, sub, hinge, p0, p1))
         if out.settled:
             return ("parity", 0)
         phi = out.formula
@@ -451,7 +446,8 @@ def bisection_solve(
             raise ReducerInvariantError(
                 f"rebisection increased the measure: {rho_before} -> {rho_after}"
             )
-        return bisection_solve(phi, part.a, part.b, tel, depth, cfg, pick_from_b, last_side)
+        # both sides are non-empty, so a re-call would pass the checks above
+        a, b = part.a, part.b
 
     s = crossing_edges(g, a, b)
     if not s:

@@ -4,8 +4,7 @@ Rules either rewrite the formula (strictly decreasing the potential
 (n, m, L) in lexicographic order) or settle the instance outright with an
 even-parity verdict.  ``reduce_formula`` applies them in a fixed priority
 order, restarting from the first rule after every change; any order is
-correct, a fixed one keeps traces deterministic.  ``reduce_counting`` runs
-the same loop over R1-R5 only.
+correct, a fixed one keeps traces deterministic.
 
 The restart is incremental.  A rule checked and found inapplicable stays
 known inapplicable until a fresh clause appears (one the formula did not
@@ -407,18 +406,25 @@ def _r13(phi: Formula):
     p0 = brute_parity(assign_literal(sub, -x))
     if p0 == 0 and p1 == 0:
         return ("verdict", f"hinged subformula {comp} even for both values of {x}")
-    gone = set(comp)
-    keep = [c for i, c in enumerate(phi.clauses) if i not in gone]
-    rest = Formula._derive(phi.variables - (sub.variables - {x}), keep)
-    if p0 == 1 and p1 == 0:
-        rest = assign_literal(rest, -x)
-        detail = f"hinged subformula {comp}: forced {x}=0"
-    elif p0 == 0 and p1 == 1:
-        rest = assign_literal(rest, x)
-        detail = f"hinged subformula {comp}: forced {x}=1"
-    else:
+    rest = remove_hinged_side(phi, comp, sub, x, p0, p1)
+    if p0 == p1:
         detail = f"hinged subformula {comp}: both parities odd, {x} kept"
+    else:
+        detail = f"hinged subformula {comp}: forced {x}={p1}"
     return ("changed", rest, detail)
+
+
+def remove_hinged_side(phi: Formula, idxs, side: Formula, hinge: int, p0: int, p1: int) -> Formula:
+    """Drop the clauses at ``idxs`` and the variables of ``side``, their
+    subformula, except ``hinge``; p0 and p1 are the side's parities with the
+    hinge false and true, not both even.  When they differ the odd value is
+    forced; when both are odd the hinge stays unassigned."""
+    gone = set(idxs)
+    keep = [c for i, c in enumerate(phi.clauses) if i not in gone]
+    rest = Formula._derive(phi.variables - (side.variables - {hinge}), keep)
+    if p0 != p1:
+        rest = assign_literal(rest, hinge if p1 else -hinge)
+    return rest
 
 
 _RULES = (
@@ -455,34 +461,16 @@ def reduce_formula(phi: Formula) -> ReductionOutcome:
 
     Parity is preserved (or the verdict 0 is correct), and every step
     strictly decreases (n, m, L) lexicographically, which is asserted.
-    The trace lists (rule id, detail) for every firing.
-    """
-    return _fixpoint(phi, _RULES)
-
-
-def reduce_counting(phi: Formula) -> ReductionOutcome:
-    """Fixpoint of the five counting-safe rules R1-R5 (empty clause,
-    duplicate literals, tautologies, subsumption, unit clauses): they keep
-    the model count itself, not just its parity.  The parity-only rules
-    stay out so the clause-drop bookkeeping of positive reduction stays
-    intact."""
-    return _fixpoint(phi, _RULES[:5])
-
-
-def _fixpoint(phi: Formula, rules) -> ReductionOutcome:
-    """Apply ``rules`` in priority order, restarting from the first after
-    every firing, until none applies.
-
-    The rules before the last one to fire are known inapplicable except
-    on fresh clauses (see the module docstring), so R1-R5 among them check
-    only those.
+    The trace lists (rule id, detail) for every firing.  After a firing,
+    the rules before it are known inapplicable except on fresh clauses (see
+    the module docstring), so R1-R5 among them check only those.
     """
     trace = []
     potential = [(phi.n, phi.m, phi.length)]
     known = 0  # rules at positions below this are known inapplicable
     fresh = None
     while True:
-        for r, (rule_id, fn) in enumerate(rules):
+        for r, (rule_id, fn) in enumerate(_RULES):
             res = fn(phi, fresh) if r < known and fn in _CLAUSE_LOCAL else fn(phi)
             if res is None:
                 continue

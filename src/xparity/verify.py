@@ -314,6 +314,11 @@ def criterion_5_measure_ledgers(quick: bool = False):
         rng = random.Random(22_000_000 + seed)
         phi = gen_random_docc(rng.randint(4, 12), rng.randint(2, 4), 1, 4, seed=seed)
         run(lambda p, t: deque(reduce_to_positive(p, t), maxlen=0), phi)
+    # the parity rules settle most of those; these larger ones keep branching
+    for seed in range(_scale(40, quick)):
+        rng = random.Random(25_000_000 + seed)
+        phi = gen_random_docc(rng.randint(24, 40), rng.randint(3, 5), 2, 4, seed=25_000_000 + seed)
+        run(lambda p, t: deque(reduce_to_positive(p, t), maxlen=0), phi)
 
     summary = tel.ledger_summary()
     want_steps = {

@@ -1,3 +1,5 @@
+import io
+import json
 import random
 
 import pytest
@@ -61,14 +63,16 @@ def test_reduce_to_positive_xor_fuzz():
 
 def test_flip_negative_variables():
     phi = Formula([1, 2], [[-1, 2], [-1, -2]])
-    assert flip_negative_variables(phi) == flip_variable(phi, 1)
+    assert flip_negative_variables(phi) == (flip_variable(phi, 1), [2])
+    positive = Formula([1, 2, 3], [[-1, -2], [-1, 3]])
+    assert flip_negative_variables(positive) == (Formula([1, 2, 3], [[1, 2], [1, 3]]), [])
 
 
 def test_leaves_are_generated_one_at_a_time():
-    # the full tree of this instance has about 59k nodes; the first positive
-    # leaf is reached after a handful of branchings
+    # the full tree of this instance has 327 nodes; the first positive leaf
+    # is reached after 25 branchings
     tel = Telemetry()
-    next(reduce_to_positive(gen_random_docc(40, 3, 2, 3, seed=0), tel))
+    next(reduce_to_positive(gen_random_docc(50, 5, 2, 5, seed=1), tel))
     assert tel.nodes < 100
 
 
@@ -78,13 +82,32 @@ def test_each_child_is_reduced_once(monkeypatch):
     from xparity import docc
 
     calls = []
-    reduce = docc.reduce_counting
-    monkeypatch.setattr(docc, "reduce_counting", lambda phi: calls.append(1) or reduce(phi))
+    reduce = docc.reduce_formula
+    monkeypatch.setattr(docc, "reduce_formula", lambda phi: calls.append(1) or reduce(phi))
     tel = Telemetry()
-    for _ in reduce_to_positive(gen_random_docc(30, 3, 2, 3, seed=0), tel):
+    for _ in reduce_to_positive(gen_random_docc(50, 5, 2, 5, seed=1), tel):
         pass
-    assert tel.nodes > 1000
+    assert tel.nodes >= 100
     assert len(calls) == 1 + 2 * tel.nodes
+
+
+def test_parity_reduction_keeps_mixed_docc_small():
+    # with only the counting rules R1-R5 these took 6,887, 21,601 and
+    # 360,196 branch nodes
+    for n, d, seed in ((30, 3, 1), (32, 4, 0), (45, 3, 1)):
+        phi = gen_random_docc(n, d, 2, 4, seed=seed)
+        tel = Telemetry()
+        assert solve_docc(phi, tel) == solve_length(phi), (n, d, seed)
+        assert tel.nodes < 100, (n, d, seed)
+
+
+def test_positive_leaves_report_their_longest_dual_clause():
+    sink = io.StringIO()
+    leaves = list(reduce_to_positive(gen_random_docc(32, 4, 2, 4, seed=0), Telemetry(sink=sink)))
+    records = [json.loads(line) for line in sink.getvalue().splitlines()]
+    reported = [r["max_degree"] for r in records if r.get("node") == "docc.positive-leaf"]
+    assert reported == [max((len(c) for c in dual_formula(leaf).clauses), default=0) for leaf in leaves]
+    assert leaves and max(reported) <= 4
 
 
 def test_single_positive_clause_parity():

@@ -216,6 +216,73 @@ def test_potential_log_strictly_decreases():
             assert b < a  # lexicographic strict decrease
 
 
+def planted_merges(rng, n, d):
+    """Random clauses with every degree at most d, about a third of them
+    in complementary 2-clause pairs (p q), (-p -q) for R11 to merge."""
+    budget = dict.fromkeys(range(1, n + 1), d)
+    clauses = []
+    while True:
+        live = [v for v, b in budget.items() if b]
+        pairable = [v for v in live if budget[v] >= 2]
+        if len(live) < 2:
+            return Formula(range(1, n + 1), clauses)
+        if len(pairable) >= 2 and rng.random() < 0.3:
+            p, q = rng.sample(pairable, 2)
+            lits = [rng.choice([p, -p]), rng.choice([q, -q])]
+            clauses += [lits, [-l for l in lits]]
+            budget[p] -= 2
+            budget[q] -= 2
+            continue
+        vs = rng.sample(live, min(len(live), rng.randint(2, 4)))
+        clauses.append([rng.choice([v, -v]) for v in vs])
+        for v in vs:
+            budget[v] -= 1
+
+
+def disjoint_union(a, b):
+    shift = max(a.variables, default=0)
+    moved = [[l + shift if l > 0 else l - shift for l in c] for c in b.clauses]
+    return Formula(a.variables | {v + shift for v in b.variables}, list(a.clauses) + moved)
+
+
+def test_no_firing_raises_the_clause_count():
+    # every rule maps each clause to at most one clause and adds none
+    from xparity.generators import gen_random_docc, gen_rule_trigger
+
+    rng = random.Random(11)
+    inputs = [gen_rule_trigger(f"R{i}", seed) for i in range(1, 14) for seed in range(40)]
+    inputs += [random_formula(rng, allow_dups=True) for _ in range(1000)]
+    inputs += [gen_random_docc(rng.randint(6, 24), rng.randint(2, 5), 1, 4, seed=s) for s in range(300)]
+    inputs += [planted_merges(rng, rng.randint(6, 24), rng.randint(2, 5)) for _ in range(300)]
+    # disjoint pairs, so R12 can remove an odd component
+    inputs += [disjoint_union(a, b) for a, b in zip(inputs[::2], inputs[1::2])]
+    fired = set()
+    for phi in inputs:
+        out = reduce_formula(phi)
+        log = out.potential_log
+        for (rule_id, _), before, after in zip(out.trace, log, log[1:]):
+            assert after[1] <= before[1], (rule_id, phi)
+            fired.add(rule_id)
+    assert fired == {f"R{i}" for i in range(1, 14)} - {"R1", "R6"}  # these only settle
+
+
+def test_reduction_keeps_degrees_at_most_four():
+    # only R11 raises a degree: merging a into b leaves var(b) at most
+    # deg(a) + deg(b) - 4 occurrences, which stays <= d for d <= 4
+    def max_degree(phi):
+        return max(map(len, phi.occ.values()), default=0)
+
+    merges = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        phi = planted_merges(rng, rng.randint(6, 30), rng.choice([2, 3, 4]))
+        out = reduce_formula(phi)
+        merges += sum(rule_id == "R11" for rule_id, _ in out.trace)
+        if not out.settled:
+            assert max_degree(out.formula) <= max_degree(phi), seed
+    assert merges >= 100
+
+
 def test_rule_order_independence_of_parity():
     # random rule priority permutations must not change the parity contract
     from xparity import reducer as red
