@@ -264,16 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _env_seed() -> int:
+    raw = os.environ.get("XPARITY_SEED", "0")
     try:
-        return int(os.environ.get("XPARITY_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"XPARITY_SEED must be an integer, got {raw!r}") from None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (DimacsError, GenerationError, ContractViolation, CapExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -318,22 +318,13 @@ def _solve(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> int:
     )
     mu_parent = measure_mu(step.formula)
     parity = 0
-    drops = []
-    resolved_flags = []
-    rest = []
+    outs = []  # (reduction outcome, measure drop) per child
     for i, child in enumerate(branch.children):
+        # reduced inside the loop: each reduction files its own ledger entry
         out = _reduce_checked(child, tel)
-        if out.settled:
-            child_parity, remainder = 0, None
-        elif out.formula.is_empty():
-            child_parity, remainder = 1, None
-        else:
-            child_parity, remainder = None, out.formula
-        resolved = remainder is None
-        drop = mu_parent - measure_mu(remainder) if remainder is not None else mu_parent
-        drops.append(drop)
-        resolved_flags.append(resolved)
-        rest.append(remainder)
+        resolved = out.parity is not None
+        drop = mu_parent if resolved else mu_parent - measure_mu(out.formula)
+        outs.append((out, drop))
         tel.check(
             f"len.{step.kind}",
             i,
@@ -345,9 +336,9 @@ def _solve(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> int:
         )
         if resolved:
             tel.leaf(depth + 1, f"len.{step.kind}-settled")
-            parity ^= child_parity
-    if joint and not any(resolved_flags):
-        total = sum(drops, Fraction(0))
+            parity ^= out.parity
+    if joint and all(out.parity is None for out, _ in outs):
+        total = sum((drop for _, drop in outs), Fraction(0))
         tel.check(
             f"len.{step.kind}-joint",
             0,
@@ -355,9 +346,9 @@ def _solve(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> int:
             observed={"sum": total},
             passed=total >= joint["sum"],
         )
-    for remainder in rest:
-        if remainder is not None:
-            parity ^= _solve(remainder, tel, depth + 1, cfg)
+    for out, _ in outs:
+        if out.parity is None:
+            parity ^= _solve(out.formula, tel, depth + 1, cfg)
     return parity
 
 
@@ -369,10 +360,7 @@ def solve_length(
     tel = telemetry if telemetry is not None else Telemetry()
     cfg = config if config is not None else Occ2Config()
     out = _reduce_checked(phi, tel)
-    if out.settled:
-        tel.leaf(0, "len.verdict")
-        return 0
-    if out.formula.is_empty():
-        tel.leaf(0, "len.empty")
-        return 1
+    if out.parity is not None:
+        tel.leaf(0, "len.empty" if out.parity else "len.verdict")
+        return out.parity
     return _solve(out.formula, tel, 0, cfg)

@@ -19,6 +19,7 @@ from .oracle import brute_parity
 from .reducer import (
     SUBFORMULA_VAR_CAP,
     ReducerInvariantError,
+    ReductionOutcome,
     clause_components,
     reduce_formula,
     remove_hinged_side,
@@ -142,29 +143,22 @@ def solve_2cnf(phi: Formula) -> int:
             raise ContractViolation(f"clause {c} too long for the 2-CNF solver")
     check_occ2(phi)
     out = reduce_formula(phi)
-    if out.settled:
-        return 0
+    if out.parity is not None:
+        return out.parity
     psi = out.formula
-    if psi.is_empty():
-        return 1
-    parity = 1
     for comp in clause_components(psi):
         sub = subformula(psi, comp)
-        branch = clause_branch(sub, sub.clauses[0])
         p = 0
-        for child in branch.children:
+        for child in clause_branch(sub, sub.clauses[0]).children:
             res = reduce_formula(child)
-            if res.settled:
-                continue
-            if not res.formula.is_empty():
+            if res.parity is None:
                 raise ReducerInvariantError(
                     "breaking a cycle must leave fully reducible paths"
                 )
-            p ^= 1
+            p ^= res.parity
         if p == 0:
             return 0
-        parity &= p
-    return parity
+    return 1
 
 
 # -- self-loop elimination -------------------------------------------------------
@@ -187,27 +181,27 @@ def find_self_loop(phi: Formula):
     return None
 
 
-def eliminate_self_loops(phi: Formula):
-    """Settle every loop subformula with the 2-CNF solver standing in for
-    brute force (the hinged small-subformula rule, scaled past the 10-variable
-    cap).  Returns ("formula", phi') or ("parity", p)."""
-    while True:
+def eliminate_self_loops(phi: Formula) -> ReductionOutcome:
+    """Settle every loop subformula of a formula at the reducer's fixpoint,
+    with the 2-CNF solver standing in for brute force (the hinged
+    small-subformula rule, scaled past the 10-variable cap).  The outcome is
+    the verdict 0 or the reduced loop-free formula, empty when the parity
+    is 1."""
+    out = ReductionOutcome(phi, None)
+    while out.parity is None:
+        phi = out.formula
         loop = find_self_loop(phi)
         if loop is None:
-            return ("formula", phi)
+            break
         _, idxs, hinge = loop
         sub = subformula(phi, idxs)
         p1 = solve_2cnf(assign_literal(sub, hinge))
         p0 = solve_2cnf(assign_literal(sub, -hinge))
         if p0 == 0 and p1 == 0:
-            return ("parity", 0)
+            return ReductionOutcome(None, 0)
         # the reducer settles any degeneracy an unassigned hinge leaves
         out = reduce_formula(remove_hinged_side(phi, idxs, sub, hinge, p0, p1))
-        if out.settled:
-            return ("parity", 0)
-        phi = out.formula
-        if phi.is_empty():
-            return ("parity", 1)
+    return out
 
 
 # -- bisection ------------------------------------------------------------------
@@ -331,39 +325,25 @@ def rho_measure(a, b, s_count: int, eps_prime: float) -> float:
     return max(len(a), len(b)) + (3.0 - eps_prime) * s_count
 
 
-def _prepare(phi: Formula, tel: Telemetry, depth: int):
-    """Reduce, settle self-loops, peel pure 2-CNF components.
-    Returns ("parity", p) or ("go", core formula, peeled parity factor)."""
-    out = reduce_formula(phi)
-    if out.settled:
-        return ("parity", 0)
-    if out.formula.is_empty():
-        return ("parity", 1)
-    return _prepare_reduced(out.formula, tel, depth)
-
-
-def _prepare_reduced(psi: Formula, tel: Telemetry, depth: int):
-    """``_prepare`` for a non-empty formula already at the reducer's
-    fixpoint."""
-    status, val = eliminate_self_loops(psi)
-    if status == "parity":
-        return ("parity", val)
-    psi = val
-    factor = 1
+def _prepare(psi: Formula, tel: Telemetry, depth: int):
+    """Settle the self-loops of a non-empty formula at the reducer's
+    fixpoint, then peel off its pure 2-CNF components.  Returns
+    (factor, core): the parity is factor & parity(core), and core is None
+    when factor alone is the parity."""
+    out = eliminate_self_loops(psi)
+    if out.parity is not None:
+        return out.parity, None
+    psi = out.formula
     cores = []
     for comp in clause_components(psi):
         sub = subformula(psi, comp)
         if sub.m3 == 0:
             tel.leaf(depth, "occ2.2cnf-peel")
-            factor &= solve_2cnf(sub)
-            if factor == 0:
-                return ("parity", 0)
+            if solve_2cnf(sub) == 0:
+                return 0, None
         else:
             cores.append(comp)
-    if not cores:
-        return ("parity", factor)
-    core = subformula(psi, [i for comp in cores for i in comp])
-    return ("go", core, factor)
+    return 1, subformula(psi, [i for comp in cores for i in comp]) if cores else None
 
 
 def _base_solve(psi: Formula, tel: Telemetry, depth: int) -> int:
@@ -385,14 +365,11 @@ def _base_solve(psi: Formula, tel: Telemetry, depth: int) -> int:
     parity = 0
     for child in clause_branch(psi, pivot).children:
         out = reduce_formula(child)
-        if out.settled:
-            tel.leaf(depth + 1, "occ2.verdict")
-            continue
-        if out.formula.is_empty():
-            tel.leaf(depth + 1, "occ2.empty")
-            parity ^= 1
-            continue
-        parity ^= _base_solve(out.formula, tel, depth + 1)
+        if out.parity is None:
+            parity ^= _base_solve(out.formula, tel, depth + 1)
+        else:
+            tel.leaf(depth + 1, "occ2.empty" if out.parity else "occ2.verdict")
+            parity ^= out.parity
     return parity
 
 
@@ -481,8 +458,12 @@ def bisection_solve(
     rho_parent = rho_measure(a, b, len(s), cfg.eps_prime)
     parity = 0
     for i, child in enumerate(clause_branch(phi, pivot).children):
-        prep = _prepare(child, tel, depth + 1)
-        if prep[0] == "parity":
+        out = reduce_formula(child)
+        if out.parity is None:
+            factor, core = _prepare(out.formula, tel, depth + 1)
+        else:
+            factor, core = out.parity, None
+        if core is None:
             tel.check(
                 "occ2.bisect-branch",
                 i,
@@ -493,9 +474,8 @@ def bisection_solve(
                 note=f"side {side_name}; child settled outright",
             )
             tel.leaf(depth + 1, "occ2.resolved")
-            parity ^= prep[1]
+            parity ^= factor
             continue
-        _, core, factor = prep
         core_clauses = set(core.clauses)
         a_i = frozenset(c for c in a if c in core_clauses)
         b_i = frozenset(c for c in b if c in core_clauses)
@@ -551,21 +531,12 @@ def _branch_4plus(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> 
         {"dm": 1, "dn": len(pivot) + len(ext2)},
     ]
     parity = 0
-    results = []
-    deltas = []
+    outs = []
     for i, child in enumerate(clause_branch(psi, pivot).children):
         out = reduce_formula(child)
-        if out.settled:
-            results.append((True, 0, None))
-            deltas.append((psi.m, psi.n))
-        elif out.formula.is_empty():
-            results.append((True, 1, None))
-            deltas.append((psi.m, psi.n))
-        else:
-            results.append((False, None, out.formula))
-            deltas.append((psi.m - out.formula.m, psi.n - out.formula.n))
-        resolved = results[i][0]
-        dm, dn = deltas[i][0], deltas[i][1]
+        outs.append(out)
+        resolved = out.parity is not None
+        dm, dn = (psi.m, psi.n) if resolved else (psi.m - out.formula.m, psi.n - out.formula.n)
         tel.check(
             "occ2.4plus",
             i,
@@ -575,9 +546,9 @@ def _branch_4plus(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> 
             resolved=resolved,
             note="drop branch" if i == 0 else "falsify branch",
         )
-    if not results[0][0] and not results[1][0]:
-        dn_sum = deltas[0][1] + deltas[1][1]
-        dn_min = min(deltas[0][1], deltas[1][1])
+    if all(out.parity is None for out in outs):
+        dns = [psi.n - out.formula.n for out in outs]
+        dn_sum, dn_min = sum(dns), min(dns)
         tel.check(
             "occ2.4plus-pair",
             0,
@@ -585,12 +556,12 @@ def _branch_4plus(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> 
             observed={"dn_sum": dn_sum, "dn_min": dn_min},
             passed=dn_sum >= 13 and dn_min >= 4,
         )
-    for resolved, p, rest in results:
-        if resolved:
-            tel.leaf(depth + 1, "occ2.resolved")
-            parity ^= p
+    for out in outs:
+        if out.parity is None:
+            parity ^= _solve_reduced(out.formula, tel, depth + 1, cfg)
         else:
-            parity ^= _solve_reduced(rest, tel, depth + 1, cfg)
+            tel.leaf(depth + 1, "occ2.resolved")
+            parity ^= out.parity
     return parity
 
 
@@ -602,11 +573,10 @@ def _solve_reduced(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) ->
         return brute_parity(psi)
     if any(len(c) >= 4 for c in psi.clauses):
         return _branch_4plus(psi, tel, depth, cfg)
-    prep = _prepare_reduced(psi, tel, depth)
-    if prep[0] == "parity":
+    factor, core = _prepare(psi, tel, depth)
+    if core is None:
         tel.leaf(depth, "occ2.settled")
-        return prep[1]
-    _, core, factor = prep
+        return factor
     threes = frozenset(c for c in core.clauses if len(c) == 3)
     return factor & bisection_solve(core, threes, frozenset(), tel, depth, cfg)
 
@@ -619,10 +589,7 @@ def solve_occ2(
     tel = telemetry if telemetry is not None else Telemetry()
     cfg = config if config is not None else Occ2Config()
     out = reduce_formula(phi)
-    if out.settled:
-        tel.leaf(0, "occ2.verdict")
-        return 0
-    if out.formula.is_empty():
-        tel.leaf(0, "occ2.empty")
-        return 1
+    if out.parity is not None:
+        tel.leaf(0, "occ2.empty" if out.parity else "occ2.verdict")
+        return out.parity
     return _solve_reduced(out.formula, tel, 0, cfg)

@@ -62,6 +62,14 @@ class ReductionOutcome:
     def settled(self) -> bool:
         return self.verdict is not None
 
+    @property
+    def parity(self) -> int | None:
+        """The parity once known: 0 when settled, 1 when nothing is left,
+        None while a non-empty formula remains."""
+        if self.verdict is not None:
+            return self.verdict
+        return 1 if self.formula.is_empty() else None
+
 
 def _clause_sets(phi: Formula):
     return [frozenset(c) for c in phi.clauses]

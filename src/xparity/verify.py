@@ -201,7 +201,7 @@ def criterion_3_reduced_properties(quick: bool = False):
         for i in range(per_family):
             seed = 10_000_000 + fam_idx * 1_000_000 + i
             out = reduce_formula(gen(seed))
-            if out.settled or out.formula.is_empty():
+            if out.parity is not None:
                 continue
             checked += 1
             report = check_reduced_properties(out.formula)
@@ -383,7 +383,7 @@ def criterion_6_growth_curves(quick: bool = False):
     for seed in range(budget):
         phi = gen_random_docc(40 + (seed % 10) * 11, 2, 2, 3, seed=40_000_000 + seed)
         out = reduce_formula(phi)
-        if out.settled or out.formula.is_empty():
+        if out.parity is not None:
             continue
         psi = out.formula
         if psi.m3 > 50 or any(len(c) > 3 for c in psi.clauses):
@@ -397,7 +397,7 @@ def criterion_6_growth_curves(quick: bool = False):
     for seed in range(budget):
         phi = gen_random_docc(20 + (seed % 9) * 5, 2, 2, 6, seed=41_000_000 + seed)
         out = reduce_formula(phi)
-        if out.settled or out.formula.is_empty():
+        if out.parity is not None:
             continue
         psi = out.formula
         if psi.n > 60:
@@ -413,7 +413,7 @@ def criterion_6_growth_curves(quick: bool = False):
         rng = random.Random(42_000_000 + seed)
         phi = gen_random_docc(rng.randint(12, 30), rng.randint(3, 6), 1, 5, seed=seed)
         out = reduce_formula(phi)
-        if out.settled or out.formula.is_empty():
+        if out.parity is not None:
             continue
         psi = out.formula
         if psi.length > 120:

@@ -150,6 +150,13 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert parse_dimacs(out) == gen_random_docc(10, 2, 2, 3, seed=7)
 
 
+def test_env_seed_rejects_non_integer(capsys, monkeypatch):
+    monkeypatch.setenv("XPARITY_SEED", "7x")
+    code, out, err = run(capsys, "gen", "--family", "random", "--n", "10", "--d", "2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "XPARITY_SEED" in err
+
+
 @pytest.mark.parametrize("error", [ReducerInvariantError, LedgerViolation])
 def test_invariant_failure_exit_code_and_repro(tmp_path, capsys, monkeypatch, error):
     def failing_solver(*_):

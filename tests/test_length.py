@@ -62,15 +62,15 @@ def test_classify_order_and_pivots():
          [2, 4], [3, 5], [6, 8], [7, 9], [10, 11]],
     )
     out = reduce_formula(phi)
-    if not out.settled and not out.formula.is_empty() and max(
+    if out.parity is None and max(
         out.formula.degree(v) for v in out.formula.variables
     ) >= 4:
         step = classify_step(out.formula)
         assert step.kind == "step1"
     # all 2-variables goes straight to the occ2 handoff
-    two = reduce_formula(gen_random_docc(14, 2, 2, 3, seed=3)).formula
-    if two is not None and not two.is_empty():
-        assert classify_step(two).kind == "step6"
+    two = reduce_formula(gen_random_docc(14, 2, 2, 3, seed=3))
+    if two.parity is None:
+        assert classify_step(two.formula).kind == "step6"
 
 
 def test_classify_step2_pivot():
@@ -84,7 +84,7 @@ def test_classify_step2_pivot():
     ]
     phi = Formula(range(1, 14), clauses)
     out = reduce_formula(phi)
-    if not out.settled and not out.formula.is_empty():
+    if out.parity is None:
         step = classify_step(out.formula)
         if any(len(c) >= 4 for c in out.formula.clauses):
             assert step.kind in ("step1", "step2")
@@ -113,7 +113,7 @@ def test_nonproper_formulas_have_external_witness():
         if phi is None:
             continue
         out = reduce_formula(phi)
-        if out.settled or out.formula.is_empty() or out.formula.n <= 10:
+        if out.parity is not None or out.formula.n <= 10:
             continue
         psi = out.formula
         threes = [v for v in psi.variables if psi.degree(v) == 3]
@@ -194,7 +194,7 @@ def test_xor_identity_nodewise_debug():
     for seed in range(300):
         phi = gen_random_docc(rng.randint(11, 14), rng.randint(3, 5), 2, 4, seed=seed)
         out = reduce_formula(phi)
-        if out.settled or out.formula.is_empty() or out.formula.n <= 10:
+        if out.parity is not None or out.formula.n <= 10:
             continue
         step = classify_step(out.formula)
         if step.kind == "step6":

@@ -66,16 +66,15 @@ def test_multigraph_degree_three_on_fuzz():
     for seed in range(200):
         phi = gen_random_docc(20, 2, 2, 3, seed=seed)
         out = reduce_formula(phi)
-        if out.settled or out.formula.is_empty():
+        if out.parity is not None:
             continue
-        psi = out.formula
-        status, psi2 = eliminate_self_loops(psi)
-        if status == "parity":
+        loop_free = eliminate_self_loops(out.formula)
+        if loop_free.parity is not None:
             continue
         # drop pure 2-clause components before grading the graph
-        if psi2.m3 == 0:
+        if loop_free.formula.m3 == 0:
             continue
-        g = build_multigraph(psi2)
+        g = build_multigraph(loop_free.formula)
         for v in g.vertices:
             assert g.degree(v) == 3
         checked += 1
@@ -110,19 +109,19 @@ def double_loop_formula():
 def test_self_loop_detection_and_elimination():
     phi = double_loop_formula()
     out = reduce_formula(phi)
-    assert not out.settled and not out.formula.is_empty()
+    assert out.parity is None
     assert find_self_loop(out.formula) is not None
-    status, val = eliminate_self_loops(out.formula)
-    if status == "formula":
-        assert find_self_loop(val) is None
+    loop_free = eliminate_self_loops(out.formula)
+    if loop_free.parity is None:
+        assert find_self_loop(loop_free.formula) is None
     assert solve_occ2(phi) == brute_parity(phi)
 
 
 def test_loop_free_formula_is_untouched():
     phi = fig2_formula()
     out = reduce_formula(phi)
-    status, val = eliminate_self_loops(out.formula)
-    assert status == "formula" and val == out.formula
+    loop_free = eliminate_self_loops(out.formula)
+    assert loop_free.parity is None and loop_free.formula == out.formula
 
 
 def test_bisect_balance_and_determinism():
@@ -143,18 +142,15 @@ def test_bisect_exhaustive_matches_enumeration():
     for seed in range(40):
         phi = gen_random_docc(24, 2, 2, 3, seed=seed)
         out = reduce_formula(phi)
-        if out.settled or out.formula.is_empty():
+        if out.parity is not None:
             continue
-        status, psi = eliminate_self_loops(out.formula)
-        if status == "parity" or psi.m3 < 2 or psi.m3 > 10:
+        loop_free = eliminate_self_loops(out.formula)
+        if loop_free.parity is not None:
             continue
-        if any(len(c) not in (2, 3) for c in psi.clauses):
+        psi = loop_free.formula
+        if psi.m3 < 2 or psi.m3 > 10 or any(len(c) not in (2, 3) for c in psi.clauses):
             continue
-        comps_ok = all(len(c) == 3 or True for c in psi.clauses)
-        try:
-            g = build_multigraph(psi)
-        except Exception:
-            continue
+        g = build_multigraph(psi)
         part = bisect_multigraph(g, seed=0)
         verts = sorted(g.vertices, key=clause_sort_key)
         best = None

@@ -183,15 +183,26 @@ def test_reduce_duplicate_then_chain():
 
 
 def test_reduce_preserves_parity_fuzz():
+    from xparity.generators import gen_random_docc, gen_rule_trigger
+
     rng = random.Random(42)
-    for _ in range(400):
-        phi = random_formula(rng, allow_dups=rng.random() < 0.3)
+    inputs = [random_formula(rng, allow_dups=rng.random() < 0.3) for _ in range(400)]
+    inputs += [gen_rule_trigger(f"R{i}", seed) for i in range(1, 14) for seed in range(5)]
+    inputs += [gen_random_docc(rng.randint(6, 16), rng.randint(2, 4), 1, 3, seed=s) for s in range(100)]
+    seen = set()
+    for phi in inputs:
         out = reduce_formula(phi)
         want = brute_parity(phi)
         if out.settled:
             assert want == 0
         else:
             assert brute_parity(out.formula) == want
+        remains = out.formula is not None and not out.formula.is_empty()
+        assert (out.parity is None) == remains
+        if out.parity is not None:
+            assert out.parity == want
+        seen.add(out.parity)
+    assert seen == {0, 1, None}
 
 
 def test_reduce_fixpoint_idempotent():
@@ -314,7 +325,7 @@ def test_reduced_properties_on_fixpoints():
         else:
             phi = random_formula(rng, max_n=16, max_m=24, occurring_only=True)
         out = reduce_formula(phi)
-        if out.settled or out.formula.is_empty():
+        if out.parity is not None:
             continue
         report = check_reduced_properties(out.formula)
         assert report.all_pass, (out.formula, report.results, report.witnesses)

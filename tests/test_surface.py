@@ -1,6 +1,7 @@
 """Every function and class the package exports has a caller in the
 library itself: the public surface holds no code that only tests use.  No
-solver route ends in a capped brute-force count."""
+solver route ends in a capped brute-force count, and no solver returns a
+string-tagged tuple."""
 
 import ast
 import inspect
@@ -66,3 +67,20 @@ def test_solvers_use_no_capped_counter():
         source = (PACKAGE / f"{module}.py").read_text()
         found = sorted(n for n in CAPPED_COUNTERS if re.search(rf"\b{n}\b", source))
         assert not found, (module, found)
+
+
+def test_solvers_return_no_string_tagged_tuples():
+    # a settled reduction reads ReductionOutcome.parity; only the reducer's
+    # rule protocol, which apply_rule callers read, keeps its tags
+    for module in ("occ2", "length", "docc"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        tagged = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Return)
+            and isinstance(node.value, ast.Tuple)
+            and node.value.elts
+            and isinstance(node.value.elts[0], ast.Constant)
+            and isinstance(node.value.elts[0].value, str)
+        ]
+        assert not tagged, (module, tagged)
