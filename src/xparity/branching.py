@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from .formula import (
     Formula,
+    _falsified,
+    _split,
     assign_literal,
     canonical_clause,
     falsify_clause,
@@ -53,6 +55,10 @@ def variable_branch(phi: Formula, x: int) -> BranchSet:
     back as clauses, the i-th side falsified, and x's literal in it
     satisfied.  The case with every side satisfied makes x a free variable,
     so it carries no parity and is dropped.
+
+    Each child is one derivation from phi: the clauses meeting the
+    falsified variables and the earlier sides are rewritten in one pass
+    (a side the falsification leaves alone passes unchanged).
     """
     occs = phi.occ.get(x, ())
     if not occs:
@@ -63,12 +69,15 @@ def variable_branch(phi: Formula, x: int) -> BranchSet:
         if any(-l in s for l in s):
             raise ValueError("side clause contains complementary literals; reduce first")
     children = []
-    labels = []
     for i, (lit, side) in enumerate(items):
-        # earlier sides added back in one pass (each is its clause minus one
-        # literal, so already canonical), then side falsified and lit true
-        child = Formula._derive(phi.variables, phi.clauses, [s for _, s in items[:i]])
-        children.append(falsify_clause(child, side + (-lit,)))
-        labels.append(f"first falsified side {i}")
-    return BranchSet(children=children, labels=labels)
-
+        # a side is its clause minus every copy of lit, so canonical and
+        # free of lit; with the check above, lits has no complementary pair
+        lits = frozenset(side) | {-lit}
+        vs = {abs(l) for l in lits}
+        kept, touched = _split(phi, vs)
+        touched += [s for _, s in items[:i]]
+        children.append(Formula._derive(phi.variables - vs, kept, _falsified(touched, lits)))
+    return BranchSet(
+        children=children,
+        labels=[f"first falsified side {i}" for i in range(len(items))],
+    )

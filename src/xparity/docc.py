@@ -106,30 +106,32 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Iter
 def solve_positive_fib(phi: Formula, telemetry: Telemetry | None = None) -> int:
     """Variable branching on a maximum-degree variable of a positive formula;
     the branching vector (d, d-1, ..., 1) gives the d-th order Fibonacci
-    constant as growth base."""
+    constant as growth base.  A depth-first search over an explicit stack,
+    so the depth is not bounded by the interpreter's recursion limit; the
+    tree is visited in pre-order, children in branching order."""
     if not is_positive(phi):
         raise NotPositive("solve_positive_fib needs a positive formula")
     tel = telemetry if telemetry is not None else Telemetry()
-    return _fib(phi, tel, 0)
-
-
-def _fib(phi: Formula, tel: Telemetry, depth: int) -> int:
-    if phi.has_empty_clause():
-        tel.leaf(depth, "fib.falsified")
-        return 0
-    if not phi.clauses:
-        tel.leaf(depth, "fib.trivial")
-        return 1 if phi.n == 0 else 0
-    if any(phi.degree(v) == 0 for v in phi.variables):
-        tel.leaf(depth, "fib.free-variable")
-        return 0
-    degrees = {v: phi.degree(v) for v in phi.variables}
-    top = max(degrees.values())
-    x = min(v for v, dg in degrees.items() if dg == top)
-    tel.node(depth, "fib.branch", {"on": x, "degree": top})
     parity = 0
-    for child in variable_branch(phi, x).children:
-        parity ^= _fib(child, tel, depth + 1)
+    stack = [(phi, 0)]
+    while stack:
+        cur, depth = stack.pop()
+        if cur.has_empty_clause():
+            tel.leaf(depth, "fib.falsified")
+            continue
+        if not cur.clauses:
+            tel.leaf(depth, "fib.trivial")
+            parity ^= 1 if cur.n == 0 else 0
+            continue
+        occ = cur.occ
+        if len(occ) < cur.n:
+            tel.leaf(depth, "fib.free-variable")
+            continue
+        top = max(map(len, occ.values()))
+        x = min(v for v, o in occ.items() if len(o) == top)
+        tel.node(depth, "fib.branch", {"on": x, "degree": top})
+        children = variable_branch(cur, x).children
+        stack.extend((child, depth + 1) for child in reversed(children))
     return parity
 
 

@@ -101,7 +101,8 @@ class Formula:
         return not self.clauses and not self.variables
 
     def has_empty_clause(self) -> bool:
-        return any(len(c) == 0 for c in self.clauses)
+        """O(1): the empty clause sorts first under ``clause_sort_key``."""
+        return bool(self.clauses) and not self.clauses[0]
 
     # -- equality ----------------------------------------------------------
 
@@ -181,6 +182,15 @@ def assign_literal(phi: Formula, lit: Literal) -> Formula:
     return Formula._derive(phi.variables - {v}, kept, added)
 
 
+def _falsified(clauses, lits) -> list:
+    """``clauses`` under every literal of the set ``lits`` set to 0: those
+    holding a complement of one are satisfied and dropped, the rest lose
+    their literals of ``lits``.  Canonical clauses stay canonical, and a
+    clause with no variable of ``lits`` passes through unchanged."""
+    negs = {-l for l in lits}
+    return [tuple([l for l in c if l not in lits]) for c in clauses if negs.isdisjoint(c)]
+
+
 def falsify_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
     """phi[C=0]: assign every literal of C to 0.
 
@@ -195,12 +205,7 @@ def falsify_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
     if missing:
         raise ValueError(f"variable {missing[0]} of the clause is not assignable")
     kept, touched = _split(phi, vs)
-    added = [
-        tuple(l for l in c if l not in lits)
-        for c in touched
-        if not any(-l in lits for l in c)
-    ]
-    return Formula._derive(phi.variables - vs, kept, added)
+    return Formula._derive(phi.variables - vs, kept, _falsified(touched, lits))
 
 
 def remove_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:

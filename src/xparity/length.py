@@ -41,10 +41,17 @@ def marginal_weight(degree: int) -> Fraction:
 
 
 def measure_mu(phi: Formula) -> Fraction:
-    total = Fraction(0)
-    for v in phi.variables:
-        total += weight(phi.degree(v))
-    return total
+    """The sum of ``weight(degree)`` over the variables, exact: it is
+    summed as an int in half-units (3 per 2-variable, 2d per d-variable
+    from d = 3) and halved once."""
+    half = 0
+    for occs in phi.occ.values():
+        d = len(occs)
+        if d >= 3:
+            half += 2 * d
+        elif d == 2:
+            half += 3
+    return Fraction(half, 2)
 
 
 # -- local structure around a 3-variable ----------------------------------------

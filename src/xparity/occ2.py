@@ -386,6 +386,12 @@ def bisection_solve(
     """The bisection-guided solver: maintains a disjoint partition (a, b) of
     the 3-clauses and branches on endpoints of partition-crossing multigraph
     edges, alternating sides level by level."""
+    return _bisection_solve(phi, a, b, tel, depth, cfg, pick_from_b, last_side, None)
+
+
+def _bisection_solve(phi, a, b, tel, depth, cfg, pick_from_b, last_side, g) -> int:
+    """``bisection_solve`` with ``g``, phi's multigraph when the caller has
+    built it already (a branch child's, for its ledger entry), else None."""
     if not a and b:
         # relabel the sides; last_side names the parent's side, so it
         # follows the relabelling and the alternation check stays valid
@@ -394,7 +400,8 @@ def bisection_solve(
         last_side = {"A": "B", "B": "A"}.get(last_side)
     if phi.m3 <= cfg.n_eps:
         return _base_solve(phi, tel, depth)
-    g = build_multigraph(phi)
+    if g is None:
+        g = build_multigraph(phi)
     if g.self_loops:
         raise ReducerInvariantError("self-loops survived elimination")
 
@@ -493,8 +500,8 @@ def bisection_solve(
             passed=passed,
             note=f"side {side_name}",
         )
-        parity ^= factor & bisection_solve(
-            core, a_i, b_i, tel, depth + 1, cfg, not pick_from_b, side_name
+        parity ^= factor & _bisection_solve(
+            core, a_i, b_i, tel, depth + 1, cfg, not pick_from_b, side_name, g_i
         )
     return parity
 

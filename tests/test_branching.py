@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xparity.branching import clause_branch, simple_branch, variable_branch
-from xparity.formula import Formula
+from xparity.formula import Formula, falsify_clause
 from xparity.oracle import brute_parity
 from xparity.reducer import reduce_formula
 
@@ -125,3 +125,60 @@ def test_variable_branch_adds_real_clauses_on_reduced_input():
         assert sum(brute_parity(c) for c in branch.children) % 2 == brute_parity(psi)
         checked += 1
     assert checked >= 20
+
+
+def two_step_variable_branch(phi, x):
+    """The children built the direct way: earlier sides added back by one
+    derivation, then the side and x's literal falsified by another."""
+    occs = phi.occ.get(x, ())
+    if not occs:
+        raise ValueError(f"variable {x} does not occur")
+    items = [(lit, tuple(l for l in phi.clauses[cidx] if l != lit)) for cidx, lit in occs]
+    for _, side in items:
+        s = set(side)
+        if any(-l in s for l in s):
+            raise ValueError("side clause contains complementary literals; reduce first")
+    children = []
+    for i, (lit, side) in enumerate(items):
+        child = Formula._derive(phi.variables, phi.clauses, [s for _, s in items[:i]])
+        children.append(falsify_clause(child, side + (-lit,)))
+    return children
+
+
+@st.composite
+def branch_cases(draw):
+    """A small formula, with repeated literals, both polarities of a
+    variable in one clause and tautologies allowed, plus a variable; some
+    of the variable's sides are added as clauses of their own."""
+    n = draw(st.integers(1, 5))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(lit, max_size=4), max_size=8))
+    x = draw(st.integers(1, n))
+    phi = Formula(range(1, n + 1), clauses)
+    sides = [tuple(l for l in phi.clauses[cidx] if l != l0) for cidx, l0 in phi.occ.get(x, ())]
+    extra = [s for s in sides if draw(st.booleans())]
+    return Formula(range(1, n + 1), clauses + extra), x
+
+
+def outcome(build, phi, x):
+    try:
+        return [(c.variables, c.clauses, c.occ) for c in build(phi, x)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(branch_cases())
+@settings(max_examples=400, deadline=None)
+# a side that is already a clause; an earlier side the falsification
+# satisfies, and one it shortens
+@example((Formula([1, 2, 3], [[1, 2], [2], [1, 3]]), 1))
+@example((Formula([1, 2, 3], [[1, 2], [-1, -2, 3], [1, -3]]), 1))
+@example((Formula([1, 2, 3], [[1, 2, 3], [1, -2], [-1, 3, 3]]), 1))
+# a clause with both polarities of x; a tautological side
+@example((Formula([1, 2], [[1, -1, 2], [1, 2]]), 1))
+@example((Formula([1, 2], [[1, 2, -2]]), 1))
+def test_variable_branch_matches_two_step_construction(case):
+    phi, x = case
+    assert outcome(lambda p, v: variable_branch(p, v).children, phi, x) == outcome(
+        two_step_variable_branch, phi, x
+    )

@@ -69,6 +69,16 @@ def test_solve_docc_beyond_oracle_scale(tmp_path, capsys):
     assert out.startswith(f"parity: {solve_occ2(phi)}")
 
 
+def test_solve_positive_fib_deep_tree(tmp_path, capsys):
+    # 1,500 unit clauses: the search tree is a path 1,500 nodes deep
+    n = 1500
+    path = tmp_path / "units.cnf"
+    path.write_text(f"p cnf {n} {n}\n" + "".join(f"{i} 0\n" for i in range(1, n + 1)))
+    code, out, _ = run(capsys, "solve", "--solver", "positive-fib", "--input", str(path))
+    assert code == 0
+    assert out.startswith("parity: 1")
+
+
 def test_solve_explain_lists_rules(tmp_path, capsys):
     path = write_instance(tmp_path, parse_dimacs("p cnf 2 2\n1 0\n1 2 0\n"))
     code, out, _ = run(capsys, "solve", "--input", path, "--explain")

@@ -244,6 +244,7 @@ def assert_same_formula(got, want):
     assert got.variables == want.variables
     assert got.clauses == want.clauses
     assert got.occ == want.occ
+    assert got.has_empty_clause() == any(len(c) == 0 for c in got.clauses)
 
 
 @settings(max_examples=300, deadline=None)

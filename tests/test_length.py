@@ -42,6 +42,10 @@ def test_measure_examples():
         weight(two.degree(v)) for v in two.variables if two.degree(v) != 2
     )
     assert measure_mu(two) <= two.length
+    # the half-unit sum is the weight sum, exactly
+    for seed in range(60):
+        phi = gen_random_docc(8 + seed % 20, 2 + seed % 5, 1, 4, seed=seed)
+        assert measure_mu(phi) == sum((weight(phi.degree(v)) for v in phi.variables), Fraction(0))
 
 
 def test_mu_never_exceeds_length_and_reduction_monotone():
