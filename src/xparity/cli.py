@@ -20,6 +20,7 @@ from .reducer import ReducerInvariantError, reduce_formula
 from .telemetry import LedgerViolation, Telemetry
 
 REPORT_SCHEMA = 1
+_SOLVERS = ("auto", "occ2", "length", "docc", "positive-fib", "2cnf", "brute")
 
 
 @dataclass
@@ -222,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one DIMACS instance")
-    p.add_argument("--solver", default="auto",
-                   choices=["auto", "occ2", "length", "docc", "positive-fib", "2cnf", "brute"])
+    p.add_argument("--solver", default="auto", choices=_SOLVERS)
     p.add_argument("--input", required=True, help="DIMACS path or - for stdin")
     p.add_argument("--telemetry", help="write JSON-lines telemetry to this path")
     p.add_argument("--seed", type=int, default=_env_seed())
@@ -249,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="solve a corpus directory, one report line each")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--solver", default="auto",
-                   choices=["auto", "occ2", "length", "docc", "positive-fib", "2cnf", "brute"])
+    p.add_argument("--solver", default="auto", choices=_SOLVERS)
     p.add_argument("--seed", type=int, default=_env_seed())
     p.add_argument("--output", default="-")
     p.add_argument("--timing", action="store_true",

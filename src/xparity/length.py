@@ -14,7 +14,7 @@ observed ones, in exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import occ2 as occ2_mod
@@ -100,11 +100,22 @@ def compute_ext(phi: Formula, x: int) -> LocalStructure:
 
 @dataclass
 class Step:
+    """A step at one node: its pivot variable, the flips that normalized it,
+    the clause it branches on (steps 2 and 3.1), the claimed measure drop
+    of each child in the order ``_branch_for`` emits them, and the claimed
+    least sum of the drops where the analysis bounds them jointly."""
+
     kind: str
     formula: Formula  # after any polarity-normalizing flips
-    pivot: object
+    pivot: int | None
     flips: tuple = ()
-    info: dict = field(default_factory=dict)
+    clause: tuple | None = None
+    claims: tuple = ()
+    joint: Fraction | None = None
+
+
+def _claims(*drops) -> tuple:
+    return tuple({"drop": d} for d in drops)
 
 
 def _normalize(phi: Formula, x: int):
@@ -114,17 +125,59 @@ def _normalize(phi: Formula, x: int):
     return phi, ()
 
 
+def _lone_clause(phi: Formula, x: int) -> tuple:
+    """The clause of the lone-sign literal of a mixed 3-variable: the
+    negative one once ``_normalize`` has run.  A flip keeps its length."""
+    pos, _ = phi.polarity_counts(x)
+    (cidx,) = [cidx for cidx, lit in phi.occ[x] if (lit > 0) == (pos == 1)]
+    return phi.clauses[cidx]
+
+
+def _step3(psi: Formula, flips: tuple, x: int) -> Step:
+    """Step 3.1 or 3.2 at x, positive twice in psi and negative in
+    (-x v D) with |D| = 2 or 1."""
+    neg = _lone_clause(psi, x)
+    d_vars = [var_of(l) for l in neg if var_of(l) != x]
+    sides = [[l for l in psi.clauses[cidx] if l != lit] for cidx, lit in psi.occ[x] if lit > 0]
+    if len(d_vars) == 2:
+        c2 = sum(1 for v in d_vars if psi.degree(v) == 2)
+        c3 = len(d_vars) - c2
+        # the falsify branch assigns x and var(D); the satisfied positive
+        # clauses add one w2 per side occurrence, but only for variables not
+        # already assigned: sides may reuse var(D), where the assignment
+        # weight already covers the lost occurrence
+        assigned = set(d_vars) | {x}
+        outside = sum(1 for s in sides for l in s if var_of(l) not in assigned)
+        falsify = (2 + c2 + 2 * c3 + min(outside, 2)) * W2
+        keep = 4 * W2 if c2 >= 1 else 3 * W2
+        return Step("step3_1", psi, x, flips, clause=neg, claims=_claims(keep, falsify))
+    # the guarantees behind the step 3.2 analysis: y, the variable of D,
+    # never sits in both positive sides, nor in a unit side
+    (y,) = d_vars
+    in_side = [any(var_of(l) == y for l in s) for s in sides]
+    if all(in_side):
+        raise ReducerInvariantError("step 3.2: y occurs in both positive sides")
+    for s, present in zip(sides, in_side):
+        if len(s) == 1 and present:
+            raise ReducerInvariantError("step 3.2: y occurs in a unit side")
+    if all(len(s) == 1 for s in sides):
+        return Step("step3_2", psi, x, flips, claims=_claims(5 * W2, 5 * W2))
+    return Step("step3_2", psi, x, flips, claims=_claims(3 * W2, 3 * W2), joint=10 * W2)
+
+
 def classify_step(phi: Formula) -> Step:
     """First applicable step, in order 1, 2, 3.1, 3.2, 4, 5.1, 5.2, 6, with
-    its pivot; ties go to the smallest canonical variable or clause.  The
-    returned formula has the pivot polarity-normalized where a step assumes
-    it."""
+    its pivot and claims; ties go to the smallest canonical variable or
+    clause.  The returned formula has the pivot polarity-normalized where a
+    step assumes it."""
     degrees = {v: phi.degree(v) for v in phi.variables}
     max_deg = max(degrees.values(), default=0)
 
     if max_deg >= 4:
         x = min(v for v, d in degrees.items() if d == max_deg)
-        return Step("step1", phi, x, info={"d": max_deg})
+        wd = weight(max_deg)
+        joint = 2 * wd + 2 * max_deg * marginal_weight(max_deg)
+        return Step("step1", phi, x, claims=_claims(wd, wd), joint=joint)
 
     three_vars = sorted(v for v, d in degrees.items() if d == 3)
 
@@ -137,25 +190,22 @@ def classify_step(phi: Formula) -> Step:
         if candidates:
             clause = min(candidates, key=clause_sort_key)
             x = min(var_of(l) for l in clause if degrees[var_of(l)] == 3)
-            side_vars = [var_of(l) for l in clause if var_of(l) != x]
-            c2 = sum(1 for v in side_vars if degrees[v] == 2)
-            return Step("step2", phi, (clause, x), info={"c2": c2})
+            c2 = sum(1 for l in clause if var_of(l) != x and degrees[var_of(l)] == 2)
+            drops = (4 * W2, 8 * W2) if c2 == 0 else (5 * W2, 5 * W2)
+            return Step("step2", phi, x, clause=clause, claims=_claims(*drops))
 
         mixed = [v for v in three_vars if 0 not in phi.polarity_counts(v)]
-        for want_d in (2, 1):  # step 3.1 then step 3.2
+        for size in (3, 2):  # step 3.1, then step 3.2
             for x in mixed:
-                psi, flips = _normalize(phi, x)
-                neg_occ = [(cidx, lit) for cidx, lit in psi.occ[x] if lit < 0]
-                (neg_cidx, _), = neg_occ
-                d_len = len(psi.clauses[neg_cidx]) - 1
-                if d_len == want_d:
-                    kind = "step3_1" if want_d == 2 else "step3_2"
-                    return Step(kind, psi, x, flips, info={"neg_clause": psi.clauses[neg_cidx]})
+                if len(_lone_clause(phi, x)) == size:
+                    return _step3(*_normalize(phi, x), x)
 
         for x in three_vars:
             if any(len(phi.clauses[cidx]) == 2 for cidx, _ in phi.occ[x]):
                 psi, flips = _normalize(phi, x)
-                return Step("step4", psi, x, flips)
+                # children are [x=0, x=1]; the satisfying branch is the second
+                claims = _claims(3 * W2, 5 * W2)
+                return Step("step4", psi, x, flips, claims=claims, joint=10 * W2)
 
         # stage claim: every 3-variable is now pure and lives in 3-clauses only
         for x in three_vars:
@@ -167,11 +217,10 @@ def classify_step(phi: Formula) -> Step:
 
         structures = {x: compute_ext(phi, x) for x in three_vars}
         for x in three_vars:
-            if structures[x].ext_x:
+            ext = len(structures[x].ext_x)
+            if ext:
                 psi, flips = _normalize(phi, x)
-                return Step(
-                    "step5_1", psi, x, flips, info={"ext": len(structures[x].ext_x)}
-                )
+                return Step("step5_1", psi, x, flips, claims=_claims(2 * W2, (8 + ext) * W2))
         not_proper = [x for x in three_vars if not structures[x].proper]
         if not_proper:
             raise ReducerInvariantError(
@@ -180,7 +229,7 @@ def classify_step(phi: Formula) -> Step:
             )
         x = three_vars[0]
         psi, flips = _normalize(phi, x)
-        return Step("step5_2", psi, x, flips)
+        return Step("step5_2", psi, x, flips, claims=_claims(10 * W2, 8 * W2, 6 * W2))
 
     return Step("step6", phi, None)
 
@@ -188,120 +237,40 @@ def classify_step(phi: Formula) -> Step:
 # -- per-step branching with measure claims ------------------------------------------
 
 
-def _claims_for(step: Step):
-    """Per-child claimed measure drops (by child index) plus optional joint
-    claims; children are ordered as the branching schemes emit them."""
-    phi = step.formula
-    if step.kind == "step1":
-        d = step.info["d"]
-        wd = weight(d)
-        joint = {"sum": 2 * wd + 2 * d * marginal_weight(d)}
-        return [{"drop": wd}, {"drop": wd}], joint
-    if step.kind == "step2":
-        c2 = step.info["c2"]
-        if c2 == 0:
-            return [{"drop": 4 * W2}, {"drop": 8 * W2}], None
-        return [{"drop": 5 * W2}, {"drop": 5 * W2}], None
-    if step.kind == "step3_1":
-        x = step.pivot
-        d_vars = [var_of(l) for l in step.info["neg_clause"] if var_of(l) != x]
-        c2 = sum(1 for v in d_vars if phi.degree(v) == 2)
-        c3 = len(d_vars) - c2
-        # the falsify branch assigns x and var(D); the satisfied positive
-        # clauses add one w2 per side occurrence, but only for variables not
-        # already assigned: sides may reuse var(D), where the assignment
-        # weight already covers the lost occurrence
-        assigned = set(d_vars) | {x}
-        outside = sum(
-            1
-            for cidx, lit in phi.occ[x]
-            if lit > 0
-            for l in phi.clauses[cidx]
-            if var_of(l) not in assigned
-        )
-        falsify = (2 + c2 + 2 * c3 + min(outside, 2)) * W2
-        keep = 4 * W2 if c2 >= 1 else 3 * W2
-        return [{"drop": keep}, {"drop": falsify}], None
-    if step.kind == "step3_2":
-        x = step.pivot
-        sides = [
-            [l for l in phi.clauses[cidx] if l != lit]
-            for cidx, lit in phi.occ[x]
-            if lit > 0
-        ]
-        if all(len(s) == 1 for s in sides):
-            return [{"drop": 5 * W2}, {"drop": 5 * W2}], None
-        return [{"drop": 3 * W2}, {"drop": 3 * W2}], {"sum": 10 * W2}
-    if step.kind == "step4":
-        # children are [x=0, x=1]; satisfying branch is the second
-        return [{"drop": 3 * W2}, {"drop": 5 * W2}], {"sum": 10 * W2}
-    if step.kind == "step5_1":
-        ext = step.info["ext"]
-        return [{"drop": 2 * W2}, {"drop": (8 + ext) * W2}], None
-    if step.kind == "step5_2":
-        return [{"drop": 10 * W2}, {"drop": 8 * W2}, {"drop": 6 * W2}], None
-    raise ValueError(step.kind)
-
-
 def _branch_for(step: Step):
-    phi = step.formula
-    if step.kind in ("step1", "step3_2", "step4", "step5_1"):
-        return simple_branch(phi, step.pivot)
-    if step.kind == "step2":
-        clause, _ = step.pivot
-        return clause_branch(phi, clause)
-    if step.kind == "step3_1":
-        x = step.pivot
-        (neg_cidx,) = [cidx for cidx, lit in phi.occ[x] if lit < 0]
-        return clause_branch(phi, phi.clauses[neg_cidx])
     if step.kind == "step5_2":
-        return variable_branch(phi, step.pivot)
-    raise ValueError(step.kind)
-
-
-def _check_step32_structure(step: Step):
-    """The guarantees behind the step 3.2 analysis: the variable of the
-    2-clause side never sits in both positive sides, nor in a unit side."""
-    phi = step.formula
-    x = step.pivot
-    (neg_cidx,) = [cidx for cidx, lit in phi.occ[x] if lit < 0]
-    (y_lit,) = [l for l in phi.clauses[neg_cidx] if var_of(l) != x]
-    y = var_of(y_lit)
-    sides = [
-        [l for l in phi.clauses[cidx] if l != lit]
-        for cidx, lit in phi.occ[x]
-        if lit > 0
-    ]
-    in_side = [any(var_of(l) == y for l in s) for s in sides]
-    if all(in_side):
-        raise ReducerInvariantError("step 3.2: y occurs in both positive sides")
-    for s, present in zip(sides, in_side):
-        if len(s) == 1 and present:
-            raise ReducerInvariantError("step 3.2: y occurs in a unit side")
+        return variable_branch(step.formula, step.pivot)
+    if step.clause is not None:
+        return clause_branch(step.formula, step.clause)
+    return simple_branch(step.formula, step.pivot)
 
 
 def _reduce_checked(phi: Formula, tel: Telemetry):
     """Reduce and assert the measure never increased (and stays below the
-    formula length, which is what lets measure bounds speak about L)."""
+    formula length, which is what lets measure bounds speak about L).
+    Returns the outcome and the reduced formula's measure (None once
+    settled)."""
     mu0 = measure_mu(phi)
     if mu0 > phi.length:
         raise ReducerInvariantError(f"mu {mu0} exceeds length {phi.length}")
     out = reduce_formula(phi)
-    if out.formula is not None:
-        mu1 = measure_mu(out.formula)
-        if mu1 > out.formula.length:
-            raise ReducerInvariantError("mu exceeds length after reduction")
-        tel.check(
-            "len.reduce-mu",
-            0,
-            claimed={"mu_drop_at_least": 0},
-            observed={"mu_drop": mu0 - mu1},
-            passed=mu1 <= mu0,
-        )
-    return out
+    if out.formula is None:
+        return out, None
+    mu1 = measure_mu(out.formula)
+    if mu1 > out.formula.length:
+        raise ReducerInvariantError("mu exceeds length after reduction")
+    tel.check(
+        "len.reduce-mu",
+        0,
+        claimed={"mu_drop_at_least": 0},
+        observed={"mu_drop": mu0 - mu1},
+        passed=mu1 <= mu0,
+    )
+    return out, mu1
 
 
-def _solve(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> int:
+def _solve(psi: Formula, mu: Fraction, tel: Telemetry, depth: int, cfg: Occ2Config) -> int:
+    """Parity of the reduced formula psi, whose measure is mu."""
     if psi.n <= SUBFORMULA_VAR_CAP:
         # constant-size residue: settle it the way the isolate rule settles
         # small components.  The step analyses lean on the small-subformula
@@ -313,49 +282,46 @@ def _solve(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> int:
     if step.kind == "step6":
         occ2_mod.check_occ2(psi)
         return occ2_mod._solve_reduced(psi, tel, depth, cfg)
-    if step.kind == "step3_2":
-        _check_step32_structure(step)
-    claims, joint = _claims_for(step)
     branch = _branch_for(step)
     tel.node(
         depth,
         f"len.{step.kind}",
-        {"pivot": step.pivot if isinstance(step.pivot, int) else list(step.pivot[0]),
+        {"pivot": list(step.clause) if step.kind == "step2" else step.pivot,
          "flips": list(step.flips)},
     )
-    mu_parent = measure_mu(step.formula)
     parity = 0
-    outs = []  # (reduction outcome, measure drop) per child
+    outs = []  # (reduction outcome, reduced measure, measure drop) per child
     for i, child in enumerate(branch.children):
         # reduced inside the loop: each reduction files its own ledger entry
-        out = _reduce_checked(child, tel)
+        out, mu_child = _reduce_checked(child, tel)
         resolved = out.parity is not None
-        drop = mu_parent if resolved else mu_parent - measure_mu(out.formula)
-        outs.append((out, drop))
+        # a flip keeps every degree, so mu is also step.formula's measure
+        drop = mu if resolved else mu - mu_child
+        outs.append((out, mu_child, drop))
         tel.check(
             f"len.{step.kind}",
             i,
-            claimed=claims[i],
+            claimed=step.claims[i],
             observed={"drop": drop},
-            passed=drop >= claims[i]["drop"],
+            passed=drop >= step.claims[i]["drop"],
             resolved=resolved,
             note=branch.labels[i],
         )
         if resolved:
             tel.leaf(depth + 1, f"len.{step.kind}-settled")
             parity ^= out.parity
-    if joint and all(out.parity is None for out, _ in outs):
-        total = sum((drop for _, drop in outs), Fraction(0))
+    if step.joint is not None and all(out.parity is None for out, _, _ in outs):
+        total = sum((drop for _, _, drop in outs), Fraction(0))
         tel.check(
             f"len.{step.kind}-joint",
             0,
-            claimed={"sum": joint["sum"]},
+            claimed={"sum": step.joint},
             observed={"sum": total},
-            passed=total >= joint["sum"],
+            passed=total >= step.joint,
         )
-    for out, _ in outs:
+    for out, mu_child, _ in outs:
         if out.parity is None:
-            parity ^= _solve(out.formula, tel, depth + 1, cfg)
+            parity ^= _solve(out.formula, mu_child, tel, depth + 1, cfg)
     return parity
 
 
@@ -366,8 +332,8 @@ def solve_length(
     drives the 2-occurrence residue handed to ``occ2``."""
     tel = telemetry if telemetry is not None else Telemetry()
     cfg = config if config is not None else Occ2Config()
-    out = _reduce_checked(phi, tel)
+    out, mu = _reduce_checked(phi, tel)
     if out.parity is not None:
         tel.leaf(0, "len.empty" if out.parity else "len.verdict")
         return out.parity
-    return _solve(out.formula, tel, 0, cfg)
+    return _solve(out.formula, mu, tel, 0, cfg)

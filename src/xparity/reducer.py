@@ -8,10 +8,11 @@ correct, a fixed one keeps traces deterministic.
 
 The restart is incremental.  A rule checked and found inapplicable stays
 known inapplicable until a fresh clause appears (one the formula did not
-have when the rule was checked), and the clause-local rules R1-R5 can
+have when the rule was checked), and the clause-local rules R2-R5 can
 only fire on such a clause.  So after a firing they re-check only the
-fresh clauses and pick the firing a full scan would; R6-R13 depend on
-occurrence counts and connectivity and always scan in full.
+fresh clauses and pick the firing a full scan would.  R1 looks at the
+first clause, where an empty one sorts; R6-R13 depend on occurrence
+counts and connectivity and always scan in full.
 
 Rule summary (ids follow the priority order):
   R1  empty clause present            -> parity 0
@@ -75,13 +76,9 @@ def _clause_sets(phi: Formula):
     return [frozenset(c) for c in phi.clauses]
 
 
-def _lit_index(phi: Formula) -> dict:
-    """literal -> sorted tuple of clause indices containing it."""
-    idx: dict[int, list] = {}
-    for occs in phi.occ.values():
-        for cidx, lit in occs:
-            idx.setdefault(lit, []).append(cidx)
-    return {lit: tuple(sorted(ix)) for lit, ix in idx.items()}
+def _holding(phi: Formula, lit: int) -> list:
+    """Ascending indices of the clauses holding lit, once per copy."""
+    return [cidx for cidx, l in phi.occ.get(var_of(lit), ()) if l == lit]
 
 
 # -- individual rules --------------------------------------------------------
@@ -100,10 +97,9 @@ def _without(phi: Formula, k: int) -> tuple:
     return phi.clauses[:k] + phi.clauses[k + 1 :]
 
 
-def _r1(phi: Formula, scope=None):
-    for _, clause in _scoped(phi, scope):
-        if not clause:
-            return ("verdict", "empty clause")
+def _r1(phi: Formula):
+    if phi.has_empty_clause():
+        return ("verdict", "empty clause")
     return None
 
 
@@ -140,8 +136,9 @@ def _first_superset(phi: Formula, sets, i: int):
 def _r4(phi: Formula, scope=None):
     """The least pair (i, j) in index order with clause i a proper subset
     of clause j, over the pairs with i or j in the scope; drop clause j.
-    A scope is only given once R1 found no empty clause."""
-    if scope is None or not all(phi.clauses[i] for i in scope):
+    In the production order R1 has ruled out an empty clause before a
+    scope is given; a rule order that runs R4 first scans in full."""
+    if scope is None or phi.has_empty_clause():
         sets = _clause_sets(phi)
     else:
         # a clause compared with a non-empty scope clause shares a variable
@@ -212,16 +209,15 @@ def _r8(phi: Formula):
 
 
 def _r9(phi: Formula):
-    lidx = _lit_index(phi)
-    empty = ()
-    for clause in phi.clauses:
-        for a in clause:
-            for b in clause:
+    occ = phi.occ
+    for k, clause in enumerate(phi.clauses):
+        # twins share every clause, so clause k is the first of both
+        firsts = [l for l in clause if occ[var_of(l)][0][0] == k]
+        for a in firsts:
+            for b in firsts:
                 if var_of(a) >= var_of(b):
                     continue
-                if lidx.get(a, empty) == lidx.get(b, empty) and lidx.get(
-                    -a, empty
-                ) == lidx.get(-b, empty):
+                if _holding(phi, a) == _holding(phi, b) and _holding(phi, -a) == _holding(phi, -b):
                     # twins: drop the higher-numbered variable
                     return (
                         "changed",
@@ -233,12 +229,14 @@ def _r9(phi: Formula):
 
 def _r10(phi: Formula):
     sets = _clause_sets(phi)
-    lidx = _lit_index(phi)
     for v in sorted(phi.variables):
-        for lit in (v, -v):
-            for ai in lidx.get(lit, ()):
+        pos, neg = _holding(phi, v), _holding(phi, -v)
+        if not (pos and neg):
+            continue
+        for lit, mine, theirs in ((v, pos, neg), (-v, neg, pos)):
+            for ai in mine:
                 rest = sets[ai] - {lit}
-                for bi in lidx.get(-lit, ()):
+                for bi in theirs:
                     if bi != ai and rest <= sets[bi] - {-lit}:
                         rewritten = tuple(l for l in phi.clauses[bi] if l != -lit)
                         return (
@@ -455,7 +453,7 @@ _RULE_BY_ID = dict(_RULES)
 
 # rules that take a scope of clause indices; any other rule, including one
 # swapped into _RULES, always scans the whole formula
-_CLAUSE_LOCAL = frozenset((_r1, _r2, _r3, _r4, _r5))
+_CLAUSE_LOCAL = frozenset((_r2, _r3, _r4, _r5))
 
 
 def apply_rule(phi: Formula, rule_id: str):
@@ -471,7 +469,7 @@ def reduce_formula(phi: Formula) -> ReductionOutcome:
     strictly decreases (n, m, L) lexicographically, which is asserted.
     The trace lists (rule id, detail) for every firing.  After a firing,
     the rules before it are known inapplicable except on fresh clauses (see
-    the module docstring), so R1-R5 among them check only those.
+    the module docstring), so R2-R5 among them check only those.
     """
     trace = []
     potential = [(phi.n, phi.m, phi.length)]

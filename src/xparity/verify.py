@@ -14,8 +14,9 @@ import time
 from collections import deque
 
 from .branching import clause_branch, variable_branch
+from .cli import _run_solver
 from .dimacs import parse_dimacs, write_dimacs
-from .docc import reduce_to_positive, solve_docc, solve_positive_fib
+from .docc import reduce_to_positive
 from .factors import tau
 from .formula import Formula
 from .generators import (
@@ -26,7 +27,7 @@ from .generators import (
     random_graph,
 )
 from .length import solve_length
-from .occ2 import Occ2Config, solve_2cnf, solve_occ2
+from .occ2 import Occ2Config, solve_occ2
 from .oracle import (
     SetSystem,
     SimpleGraph,
@@ -95,23 +96,9 @@ def circulant_triples(n: int) -> Formula:
 FAMILIES = {
     "general": (family_general, ("length", "docc")),
     "occ2": (family_occ2, ("occ2", "length", "docc")),
-    "positive": (family_positive, ("fib", "docc", "length")),
+    "positive": (family_positive, ("positive-fib", "docc", "length")),
     "2cnf": (family_2cnf, ("2cnf", "occ2", "length", "docc")),
 }
-
-
-def _solve_by(path: str, phi: Formula, tel: Telemetry) -> int:
-    if path == "length":
-        return solve_length(phi, tel)
-    if path == "occ2":
-        return solve_occ2(phi, tel)
-    if path == "docc":
-        return solve_docc(phi, telemetry=tel)
-    if path == "fib":
-        return solve_positive_fib(phi, telemetry=tel)
-    if path == "2cnf":
-        return solve_2cnf(phi)
-    raise ValueError(path)
 
 
 # -- criteria ---------------------------------------------------------------------------
@@ -134,7 +121,7 @@ def criterion_1_oracle_equivalence(quick: bool = False):
                 if want != 0:
                     mismatches += 1
             for path in paths:
-                got = _solve_by(path, phi, Telemetry(strict=True))
+                got = _run_solver(path, phi, Telemetry(strict=True), 0)
                 total_checks += 1
                 if got != want:
                     mismatches += 1

@@ -211,3 +211,74 @@ def test_xor_identity_nodewise_debug():
         assert got == want, seed
         checked += 1
     assert checked > 20
+
+
+def _reached_steps(monkeypatch, formulas) -> list:
+    """Every step ``solve_length`` classifies while solving the formulas."""
+    from xparity import length
+
+    steps = []
+
+    def recording(phi):
+        step = classify_step(phi)
+        steps.append(step)
+        return step
+
+    monkeypatch.setattr(length, "classify_step", recording)
+    for phi in formulas:
+        solve_length(phi, Telemetry(strict=True))
+    return steps
+
+
+def test_step_carries_one_claim_per_child(monkeypatch):
+    from xparity.length import _branch_for
+
+    rng = random.Random(11)
+    formulas = [
+        gen_random_docc(rng.randint(11, 17), rng.randint(3, 6), 2, 4, seed=seed)
+        for seed in range(150)
+    ]
+    formulas += [gen_random_docc(18 + seed % 12, 3, 3, 3, seed=seed) for seed in range(60)]
+    formulas += [positive_3regular(11 + seed % 8, seed) for seed in range(60)]
+    formulas += [circulant_triples(n) for n in range(20, 26)]
+    kinds = set()
+    for step in _reached_steps(monkeypatch, [phi for phi in formulas if phi is not None]):
+        if step.kind == "step6":
+            continue
+        assert len(step.claims) == len(_branch_for(step).children), step.kind
+        psi, x = step.formula, step.pivot
+        # step 3.2's joint claim needs a positive side of two or more literals
+        wide_side = any(len(psi.clauses[c]) > 2 for c, lit in psi.occ[x] if lit > 0)
+        want_joint = step.kind in ("step1", "step4") or (step.kind == "step3_2" and wide_side)
+        assert (step.joint is not None) == want_joint, step.kind
+        kinds.add((step.kind, want_joint))
+    assert {kind for kind, _ in kinds} == {
+        "step1", "step2", "step3_1", "step3_2", "step4", "step5_1", "step5_2"
+    }
+    assert {("step3_2", False), ("step3_2", True)} <= kinds
+
+
+def test_each_reduction_is_measured_at_most_twice(monkeypatch):
+    # mu is taken before and after each reduction and handed down from
+    # there; neither the branch node nor the drop measures again
+    from xparity import length
+
+    calls = {"measure": 0, "reduce": 0}
+
+    def counted(name, fn):
+        def wrapper(phi):
+            calls[name] += 1
+            return fn(phi)
+
+        return wrapper
+
+    monkeypatch.setattr(length, "measure_mu", counted("measure", measure_mu))
+    monkeypatch.setattr(length, "reduce_formula", counted("reduce", reduce_formula))
+    shapes = [circulant_triples(24), gen_random_docc(24, 4, 3, 3, seed=3),
+              gen_random_docc(42, 3, 3, 3, seed=3)]
+    for phi in shapes:
+        calls.update(measure=0, reduce=0)
+        tel = Telemetry(strict=True)
+        solve_length(phi, tel)
+        assert tel.nodes > 0
+        assert calls["measure"] <= 2 * calls["reduce"], calls
