@@ -277,10 +277,18 @@ def main(argv=None) -> int:
     except (DimacsError, GenerationError, ContractViolation, CapExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ReducerInvariantError, LedgerViolation) as exc:
-        message = " ".join(str(exc).split())
+    except (MemoryError, RecursionError) as exc:
+        # resource exhaustion on a too large input, not a broken invariant
+        message = _one_line(exc) or "resources exhausted"
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 1
+    except (ReducerInvariantError, LedgerViolation) as exc:
+        print(f"error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
         return 3
+
+
+def _one_line(exc: BaseException) -> str:
+    return " ".join(str(exc).split())
 
 
 if __name__ == "__main__":

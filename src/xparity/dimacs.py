@@ -2,12 +2,17 @@
 
 Parsing registers every variable 1..n from the header in the variable set
 even when it occurs in no clause: occurrence-free variables make the model
-count even, so silently dropping them would corrupt parity.
+count even, so silently dropping them would corrupt parity.  A header
+declaring more than ``MAX_DECLARED_VARS`` variables is refused before
+anything is built: the variable set alone would take about 110 bytes a
+variable.
 """
 
 from __future__ import annotations
 
 from .formula import Formula
+
+MAX_DECLARED_VARS = 1_000_000
 
 
 class DimacsError(ValueError):
@@ -39,6 +44,11 @@ def parse_dimacs(text: str) -> Formula:
                 raise DimacsError(f"malformed header {line!r}", lineno) from None
             if nvars < 0 or nclauses < 0:
                 raise DimacsError(f"malformed header {line!r}", lineno)
+            if nvars > MAX_DECLARED_VARS:
+                raise DimacsError(
+                    f"header declares {nvars} variables, above the cap of {MAX_DECLARED_VARS}",
+                    lineno,
+                )
             header_line = lineno
             continue
         if nvars is None:

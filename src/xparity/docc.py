@@ -79,7 +79,7 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Iter
         branch = clause_branch(cur, pivot)
         claims = [1, 2]
         for i, child in enumerate(branch.children):
-            out = reduce_formula(child)
+            out = reduce_formula(child, parent=cur)
             if out.settled:
                 tel.check(
                     "docc.to-positive",

@@ -82,7 +82,7 @@ class Formula:
 
     @property
     def length(self) -> int:
-        return sum(len(c) for c in self.clauses)
+        return sum(map(len, self.clauses))
 
     @property
     def m3(self) -> int:

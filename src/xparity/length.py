@@ -245,15 +245,15 @@ def _branch_for(step: Step):
     return simple_branch(step.formula, step.pivot)
 
 
-def _reduce_checked(phi: Formula, tel: Telemetry):
-    """Reduce and assert the measure never increased (and stays below the
-    formula length, which is what lets measure bounds speak about L).
-    Returns the outcome and the reduced formula's measure (None once
-    settled)."""
+def _reduce_checked(phi: Formula, tel: Telemetry, parent: Formula | None = None):
+    """Reduce (from ``parent``'s fixpoint, see ``reduce_formula``) and
+    assert the measure never increased (and stays below the formula length,
+    which is what lets measure bounds speak about L).  Returns the outcome
+    and the reduced formula's measure (None once settled)."""
     mu0 = measure_mu(phi)
     if mu0 > phi.length:
         raise ReducerInvariantError(f"mu {mu0} exceeds length {phi.length}")
-    out = reduce_formula(phi)
+    out = reduce_formula(phi, parent=parent)
     if out.formula is None:
         return out, None
     mu1 = measure_mu(out.formula)
@@ -292,8 +292,9 @@ def _solve(psi: Formula, mu: Fraction, tel: Telemetry, depth: int, cfg: Occ2Conf
     parity = 0
     outs = []  # (reduction outcome, reduced measure, measure drop) per child
     for i, child in enumerate(branch.children):
-        # reduced inside the loop: each reduction files its own ledger entry
-        out, mu_child = _reduce_checked(child, tel)
+        # reduced inside the loop: each reduction files its own ledger entry;
+        # a flip is a renaming, so step.formula is at the fixpoint as psi is
+        out, mu_child = _reduce_checked(child, tel, step.formula)
         resolved = out.parity is not None
         # a flip keeps every degree, so mu is also step.formula's measure
         drop = mu if resolved else mu - mu_child

@@ -134,31 +134,42 @@ def build_multigraph(phi: Formula) -> ClauseMultigraph:
 # -- polynomial 2-CNF ----------------------------------------------------------
 
 
+def _check_2cnf(phi: Formula):
+    for c in phi.clauses:
+        if len(c) > 2:
+            raise ContractViolation(f"clause {c} too long for the 2-CNF solver")
+
+
 def solve_2cnf(phi: Formula) -> int:
     """Parity of a 2-CNF 2-occ formula in polynomial time: reduction consumes
     path components; each cycle is broken by one clause branching into two
     path instances."""
-    for c in phi.clauses:
-        if len(c) > 2:
-            raise ContractViolation(f"clause {c} too long for the 2-CNF solver")
+    _check_2cnf(phi)
     check_occ2(phi)
     out = reduce_formula(phi)
     if out.parity is not None:
         return out.parity
     psi = out.formula
     for comp in clause_components(psi):
-        sub = subformula(psi, comp)
-        p = 0
-        for child in clause_branch(sub, sub.clauses[0]).children:
-            res = reduce_formula(child)
-            if res.parity is None:
-                raise ReducerInvariantError(
-                    "breaking a cycle must leave fully reducible paths"
-                )
-            p ^= res.parity
-        if p == 0:
+        if _break_cycle(subformula(psi, comp)) == 0:
             return 0
     return 1
+
+
+def _break_cycle(sub: Formula) -> int:
+    """Parity of a connected 2-CNF 2-occ formula at the reducer's fixpoint,
+    a cycle: branching on its first clause leaves two paths, which the
+    reducer consumes."""
+    _check_2cnf(sub)
+    p = 0
+    for child in clause_branch(sub, sub.clauses[0]).children:
+        res = reduce_formula(child, parent=sub)
+        if res.parity is None:
+            raise ReducerInvariantError(
+                "breaking a cycle must leave fully reducible paths"
+            )
+        p ^= res.parity
+    return p
 
 
 # -- self-loop elimination -------------------------------------------------------
@@ -339,7 +350,7 @@ def _prepare(psi: Formula, tel: Telemetry, depth: int):
         sub = subformula(psi, comp)
         if sub.m3 == 0:
             tel.leaf(depth, "occ2.2cnf-peel")
-            if solve_2cnf(sub) == 0:
+            if _break_cycle(sub) == 0:
                 return 0, None
         else:
             cores.append(comp)
@@ -364,7 +375,7 @@ def _base_solve(psi: Formula, tel: Telemetry, depth: int) -> int:
     tel.node(depth, "occ2.base-branch", {"pivot": list(pivot)})
     parity = 0
     for child in clause_branch(psi, pivot).children:
-        out = reduce_formula(child)
+        out = reduce_formula(child, parent=psi)
         if out.parity is None:
             parity ^= _base_solve(out.formula, tel, depth + 1)
         else:
@@ -385,7 +396,8 @@ def bisection_solve(
 ) -> int:
     """The bisection-guided solver: maintains a disjoint partition (a, b) of
     the 3-clauses and branches on endpoints of partition-crossing multigraph
-    edges, alternating sides level by level."""
+    edges, alternating sides level by level.  phi must be at the reducer's
+    fixpoint: its branch children are reduced from there."""
     return _bisection_solve(phi, a, b, tel, depth, cfg, pick_from_b, last_side, None)
 
 
@@ -465,7 +477,7 @@ def _bisection_solve(phi, a, b, tel, depth, cfg, pick_from_b, last_side, g) -> i
     rho_parent = rho_measure(a, b, len(s), cfg.eps_prime)
     parity = 0
     for i, child in enumerate(clause_branch(phi, pivot).children):
-        out = reduce_formula(child)
+        out = reduce_formula(child, parent=phi)
         if out.parity is None:
             factor, core = _prepare(out.formula, tel, depth + 1)
         else:
@@ -540,7 +552,7 @@ def _branch_4plus(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> 
     parity = 0
     outs = []
     for i, child in enumerate(clause_branch(psi, pivot).children):
-        out = reduce_formula(child)
+        out = reduce_formula(child, parent=psi)
         outs.append(out)
         resolved = out.parity is not None
         dm, dn = (psi.m, psi.n) if resolved else (psi.m - out.formula.m, psi.n - out.formula.n)

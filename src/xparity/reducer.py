@@ -10,9 +10,15 @@ The restart is incremental.  A rule checked and found inapplicable stays
 known inapplicable until a fresh clause appears (one the formula did not
 have when the rule was checked), and the clause-local rules R2-R5 can
 only fire on such a clause.  So after a firing they re-check only the
-fresh clauses and pick the firing a full scan would.  R1 looks at the
-first clause, where an empty one sorts; R6-R13 depend on occurrence
-counts and connectivity and always scan in full.
+fresh clauses and pick the firing a full scan would.  A firing found on
+such a scope keeps it: every clause outside the scope was there before
+and is still inapplicable (an R4 firing only deletes a clause, an R5
+firing only adds fresh ones), so the next pass checks the scope's
+surviving clauses plus the fresh ones.  A branch child starts scoped the
+same way: against a parent at the fixpoint, only the clauses the parent
+lacks are fresh.  R1 looks at the first clause, where an empty one
+sorts; R6-R13 depend on occurrence counts and connectivity and always
+scan in full.
 
 Rule summary (ids follow the priority order):
   R1  empty clause present            -> parity 0
@@ -228,21 +234,26 @@ def _r9(phi: Formula):
 
 
 def _r10(phi: Formula):
-    sets = _clause_sets(phi)
-    for v in sorted(phi.variables):
-        pos, neg = _holding(phi, v), _holding(phi, -v)
-        if not (pos and neg):
+    clauses = phi.clauses
+    for v in sorted(phi.occ):
+        occs = phi.occ[v]
+        first = occs[0][1]
+        if all(lit == first for _, lit in occs):
             continue
-        for lit, mine, theirs in ((v, pos, neg), (-v, neg, pos)):
-            for ai in mine:
-                rest = sets[ai] - {lit}
-                for bi in theirs:
-                    if bi != ai and rest <= sets[bi] - {-lit}:
-                        rewritten = tuple(l for l in phi.clauses[bi] if l != -lit)
+        # (index, literals besides lit) of each clause holding lit, once
+        # per copy, ascending
+        rests = {v: [], -v: []}
+        for cidx, lit in occs:
+            rests[lit].append((cidx, {l for l in clauses[cidx] if l != lit}))
+        for lit in (v, -v):
+            for ai, rest in rests[lit]:
+                for bi, other in rests[-lit]:
+                    if bi != ai and rest <= other:
+                        rewritten = tuple(l for l in clauses[bi] if l != -lit)
                         return (
                             "changed",
                             Formula._derive(phi.variables, _without(phi, bi), (rewritten,)),
-                            f"{phi.clauses[ai]} resolves {-lit} out of {phi.clauses[bi]}",
+                            f"{clauses[ai]} resolves {-lit} out of {clauses[bi]}",
                         )
     return None
 
@@ -462,22 +473,36 @@ def apply_rule(phi: Formula, rule_id: str):
     return _RULE_BY_ID[rule_id](phi)
 
 
-def reduce_formula(phi: Formula) -> ReductionOutcome:
+def reduce_formula(phi: Formula, parent: Formula | None = None) -> ReductionOutcome:
     """Exhaustively apply the rules: the R(phi) of the analysis.
 
     Parity is preserved (or the verdict 0 is correct), and every step
     strictly decreases (n, m, L) lexicographically, which is asserted.
-    The trace lists (rule id, detail) for every firing.  After a firing,
-    the rules before it are known inapplicable except on fresh clauses (see
-    the module docstring), so R2-R5 among them check only those.
+    The trace lists (rule id, detail) for every firing.
+
+    R2-R5 run on a scope of clauses outside which they are known
+    inapplicable (see the module docstring).  After a firing of a rule
+    checked in full, the rules before it check only the fresh clauses.
+    After a firing inside the scope, the scope carries over: its surviving
+    clauses plus the fresh ones.  ``parent``, when given, must be a
+    formula at the reducer's fixpoint, typically the one phi was branched
+    from; R2-R5 then start on the clauses of phi that parent lacks.  The
+    outcome is the one a call without ``parent`` returns.
     """
     trace = []
     potential = [(phi.n, phi.m, phi.length)]
-    known = 0  # rules at positions below this are known inapplicable
-    fresh = None
+    # rules at positions below ``known`` are known inapplicable outside the
+    # clause indices ``scope``
+    if parent is None:
+        known, scope = 0, ()
+    else:
+        old = set(parent.clauses)
+        known = len(_RULES)
+        scope = [k for k, c in enumerate(phi.clauses) if c not in old]
     while True:
         for r, (rule_id, fn) in enumerate(_RULES):
-            res = fn(phi, fresh) if r < known and fn in _CLAUSE_LOCAL else fn(phi)
+            scoped = r < known and fn in _CLAUSE_LOCAL
+            res = fn(phi, scope) if scoped else fn(phi)
             if res is None:
                 continue
             if res[0] == "verdict":
@@ -493,8 +518,13 @@ def reduce_formula(phi: Formula) -> ReductionOutcome:
             trace.append((rule_id, detail))
             potential.append(new_pot)
             old = set(phi.clauses)
-            fresh = [k for k, c in enumerate(new_phi.clauses) if c not in old]
-            known = r
+            if scoped:
+                # the rules below known stay inapplicable outside the
+                # scope, so its surviving clauses stay in it
+                old.difference_update(phi.clauses[k] for k in scope)
+            else:
+                known = r
+            scope = [k for k, c in enumerate(new_phi.clauses) if c not in old]
             phi = new_phi
             break
         else:

@@ -184,3 +184,24 @@ def test_invariant_failure_exit_code_and_repro(tmp_path, capsys, monkeypatch, er
     repro = tmp_path / "tel.jsonl.cnf"
     assert str(repro) in err
     assert parse_dimacs(repro.read_text()) == phi
+
+
+def test_huge_header_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "huge.cnf"
+    path.write_text("p cnf 1000000000 1\n1 2 0\n")
+    code, out, err = run(capsys, "solve", "--input", str(path))
+    assert code == 1 and not out
+    assert err.startswith("error: header declares 1000000000 variables") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exhausted", [MemoryError, RecursionError])
+def test_resource_exhaustion_is_one_error_line(tmp_path, capsys, monkeypatch, exhausted):
+    path = write_instance(tmp_path, gen_random_docc(10, 2, 2, 3, seed=7))
+
+    def parse(_):
+        raise exhausted()
+
+    monkeypatch.setattr(cli, "parse_dimacs", parse)
+    code, out, err = run(capsys, "solve", "--input", path)
+    assert code == 1 and not out
+    assert err.startswith(f"error: {exhausted.__name__}: ") and err.count("\n") == 1

@@ -83,7 +83,9 @@ def test_each_child_is_reduced_once(monkeypatch):
 
     calls = []
     reduce = docc.reduce_formula
-    monkeypatch.setattr(docc, "reduce_formula", lambda phi: calls.append(1) or reduce(phi))
+    monkeypatch.setattr(
+        docc, "reduce_formula", lambda phi, **kw: calls.append(1) or reduce(phi, **kw)
+    )
     tel = Telemetry()
     for _ in reduce_to_positive(gen_random_docc(50, 5, 2, 5, seed=1), tel):
         pass

@@ -266,9 +266,9 @@ def test_each_reduction_is_measured_at_most_twice(monkeypatch):
     calls = {"measure": 0, "reduce": 0}
 
     def counted(name, fn):
-        def wrapper(phi):
+        def wrapper(phi, **kw):
             calls[name] += 1
-            return fn(phi)
+            return fn(phi, **kw)
 
         return wrapper
 

@@ -265,3 +265,22 @@ def test_rebisect_records_whether_the_measure_was_checked():
                 assert r["checked"] == (r["cut"] / r["vertices"] <= 1.0 / 6.0 + EPS)
                 seen.add(r["checked"])
     assert seen == {True, False}
+
+
+def test_peeled_cycles_are_not_reduced_again(monkeypatch):
+    # k odd cycles at the fixpoint: one clause branching per cycle and a
+    # reduction of each child, nothing more
+    import random
+
+    from test_reducer_oracle import signed_cycles
+    from xparity import occ2
+
+    psi = signed_cycles(random.Random(23), [12, 20, 31, 16])
+    assert reduce_formula(psi).trace == []
+    calls = []
+    reduce = occ2.reduce_formula
+    monkeypatch.setattr(
+        occ2, "reduce_formula", lambda phi, **kw: calls.append(1) or reduce(phi, **kw)
+    )
+    assert occ2._prepare(psi, Telemetry(), 0) == (1, None)
+    assert len(calls) == 2 * 4

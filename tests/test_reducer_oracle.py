@@ -6,9 +6,11 @@ Every formula is checked twice: the single rule application must return
 exactly what the naive rule returns, and the whole fixpoint run with
 details must give the same trace, potentials and result under both rule
 sets.  The fixpoint's fresh-clause scopes for R1-R5 are checked against
-an engine that rescans every rule in full after each firing.
+an engine that rescans every rule in full after each firing, and a
+reduction started from a parent's fixpoint against one started afresh.
 """
 
+import functools
 import random
 from contextlib import contextmanager
 
@@ -16,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xparity import reducer
-from xparity.formula import Formula, assign_literal, merge_variables
+from xparity.branching import clause_branch, simple_branch, variable_branch
+from xparity.formula import Formula, assign_literal, flip_variable, merge_variables
 from xparity.generators import gen_edge_cover_formula, gen_random_docc, gen_rule_trigger
 from xparity.oracle import SimpleGraph, brute_parity
 from xparity.reducer import (
@@ -266,7 +269,7 @@ def test_scoped_fixpoint_on_raw_formulas(phi):
     check_scoped_fixpoint(phi)
 
 
-def test_scoped_fixpoint_on_generator_families():
+def family_formulas() -> list:
     phis = [
         gen_rule_trigger(rule, seed)
         for rule in ("R4", "R10", "R12", "R13")
@@ -284,7 +287,11 @@ def test_scoped_fixpoint_on_generator_families():
         for _ in range(4)
     ]
     phis += [gen_edge_cover_formula(cubic_graph(rng, n)) for n in (8, 10, 12, 16)]
-    for phi in phis:
+    return phis
+
+
+def test_scoped_fixpoint_on_generator_families():
+    for phi in family_formulas():
         check_scoped_fixpoint(phi)
 
 
@@ -335,3 +342,82 @@ def test_scoped_rules_on_targeted_cases():
     got = reducer._r2(child, fresh)
     assert got == apply_rule(child, "R2") and got[2] == "dedup (1, -2, -2)"
     check_scoped_fixpoint(child)
+
+
+def test_scoped_r4_firing_keeps_its_scope(monkeypatch):
+    # unit 1 leaves the fresh (2), which subsumes (2 3) and then (2 -4):
+    # both R4 firings are found on the scope, so only the first pass, which
+    # knows nothing yet, runs R4 on the whole formula
+    scopes = []
+
+    def r4(phi, scope=None):
+        scopes.append(scope)
+        return reducer._r4(phi, scope)
+
+    rules = tuple((rid, r4 if fn is reducer._r4 else fn) for rid, fn in reducer._RULES)
+    monkeypatch.setattr(reducer, "_RULES", rules)
+    monkeypatch.setattr(reducer, "_CLAUSE_LOCAL", reducer._CLAUSE_LOCAL | {r4})
+    phi = Formula(range(1, 6), [[1], [-1, 2], [2, 3], [2, -4], [3, 5], [-3, -5], [4, 5]])
+    out = reduce_formula(phi)
+    assert out.trace[:3] == [
+        ("R5", "unit 1"),
+        ("R4", "(2,) subsumes (2, 3)"),
+        ("R4", "(2,) subsumes (2, -4)"),
+    ]
+    assert scopes[0] is None and None not in scopes[1:], scopes
+
+
+# -- reduction from a parent's fixpoint --------------------------------------
+
+
+def branch_children(phi: Formula) -> list:
+    """Every child of simple, clause and variable branching on phi."""
+    kids = []
+    for v in sorted(phi.occ):
+        kids += simple_branch(phi, v).children + variable_branch(phi, v).children
+    for clause in phi.clauses:
+        kids += clause_branch(phi, clause).children
+    return kids
+
+
+def check_parent_start(psi: Formula) -> int:
+    """psi is at the fixpoint.  Each branch child of psi reduced from psi,
+    each flip of psi reduced from psi, and each branch child of a flip
+    reduced from that flip, as the solvers do, gives the outcome of a
+    reduction without a parent."""
+    pairs = [(psi, child) for child in branch_children(psi)]
+    flips = [flip_variable(psi, v) for v in sorted(psi.occ)]
+    pairs += [(psi, flipped) for flipped in flips]
+    if flips:
+        pairs += [(flips[0], child) for child in branch_children(flips[0])]
+    for parent, child in pairs:
+        got = reduce_formula(child, parent=parent)
+        assert outcome(got) == outcome(reduce_formula(child)), (parent, child)
+    return len(pairs)
+
+
+@functools.cache
+def family_fixpoints() -> list:
+    outs = [reduce_formula(phi) for phi in family_formulas()]
+    return [out.formula for out in outs if not out.settled and out.formula.m]
+
+
+def test_parent_start_on_generator_families():
+    checked = sum(check_parent_start(psi) for psi in family_fixpoints())
+    assert checked >= 1000, checked
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parent_start_on_raw_grafts(data):
+    # raw formulas never survive reduction whole, so they are grafted onto
+    # a formula at the fixpoint instead: the child keeps some of the
+    # parent's clauses and gains raw ones, empty clauses, repeated literals
+    # and tautologies included
+    psi = data.draw(st.sampled_from(family_fixpoints()))
+    keep = data.draw(st.lists(st.booleans(), min_size=psi.m, max_size=psi.m))
+    raw = data.draw(raw_formulas(max_n=max(psi.variables) + 2))
+    kept = [c for c, k in zip(psi.clauses, keep) if k]
+    child = Formula(psi.variables | raw.variables, kept + list(raw.clauses))
+    got = reduce_formula(child, parent=psi)
+    assert outcome(got) == outcome(reduce_formula(child)), (psi, child)
