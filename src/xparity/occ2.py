@@ -142,8 +142,8 @@ def _check_2cnf(phi: Formula):
 
 def solve_2cnf(phi: Formula) -> int:
     """Parity of a 2-CNF 2-occ formula in polynomial time: reduction consumes
-    path components; each cycle is broken by one clause branching into two
-    path instances."""
+    path components; each cycle left at the fixpoint is settled by one walk
+    round it (``_break_cycle``)."""
     _check_2cnf(phi)
     check_occ2(phi)
     out = reduce_formula(phi)
@@ -157,19 +157,48 @@ def solve_2cnf(phi: Formula) -> int:
 
 
 def _break_cycle(sub: Formula) -> int:
-    """Parity of a connected 2-CNF 2-occ formula at the reducer's fixpoint,
-    a cycle: branching on its first clause leaves two paths, which the
-    reducer consumes."""
+    """Parity of a 2-CNF formula whose clauses form one cycle, in one walk
+    round it.  Clause i joins its entry variable v_i to its exit variable
+    v_{i+1}, so the model count is trace(M_0 ... M_{k-1}) over the 2x2
+    transfer matrices M_i[x][y] = 1 unless v_i=x, v_{i+1}=y falsify clause
+    i; the walk keeps the product modulo 2."""
     _check_2cnf(sub)
-    p = 0
-    for child in clause_branch(sub, sub.clauses[0]).children:
-        res = reduce_formula(child, parent=sub)
-        if res.parity is None:
+    for v in sub.variables:
+        if sub.degree(v) != 2:
             raise ReducerInvariantError(
-                "breaking a cycle must leave fully reducible paths"
+                f"not a cycle: variable {v} occurs {sub.degree(v)} times, not twice"
             )
-        p ^= res.parity
-    return p
+    if not sub.clauses:
+        raise ReducerInvariantError("not a cycle: no clauses")
+    clauses = sub.clauses
+    head = var_of(clauses[0][0])
+    prod = ((1, 0), (0, 1))
+    cidx, p, steps = 0, clauses[0][0], 0
+    while True:
+        clause = clauses[cidx]
+        if len(clause) != 2 or var_of(clause[0]) == var_of(clause[1]):
+            raise ReducerInvariantError(
+                f"not a cycle: clause {clause} does not continue the walk"
+            )
+        q = clause[1] if clause[0] == p else clause[0]
+        # M is all ones but at (fp, fq), the values falsifying p and q, so
+        # a row of the product times M is row[0] ^ row[1], less row[fp] in
+        # column fq
+        fp, fq = int(p < 0), int(q < 0)
+        prod = tuple(
+            tuple(row[0] ^ row[1] ^ (row[fp] if col == fq else 0) for col in (0, 1))
+            for row in prod
+        )
+        steps += 1
+        cidx, p = _other_occurrence(sub, var_of(q), cidx)
+        if cidx == 0:
+            break
+    if steps != sub.m or var_of(p) != head:
+        raise ReducerInvariantError(
+            f"not a cycle: the walk closed after {steps} of {sub.m} clauses, "
+            f"through variable {var_of(p)} (started at {head})"
+        )
+    return prod[0][0] ^ prod[1][1]
 
 
 # -- self-loop elimination -------------------------------------------------------

@@ -268,8 +268,8 @@ def test_rebisect_records_whether_the_measure_was_checked():
 
 
 def test_peeled_cycles_are_not_reduced_again(monkeypatch):
-    # k odd cycles at the fixpoint: one clause branching per cycle and a
-    # reduction of each child, nothing more
+    # k odd cycles at the fixpoint: each is settled by one walk round it,
+    # with no reduction at all
     import random
 
     from test_reducer_oracle import signed_cycles
@@ -283,4 +283,4 @@ def test_peeled_cycles_are_not_reduced_again(monkeypatch):
         occ2, "reduce_formula", lambda phi, **kw: calls.append(1) or reduce(phi, **kw)
     )
     assert occ2._prepare(psi, Telemetry(), 0) == (1, None)
-    assert len(calls) == 2 * 4
+    assert calls == []

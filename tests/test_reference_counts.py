@@ -1,0 +1,73 @@
+"""``solve_occ2`` against ``perfbench/refcount.py`` at the scale where its
+machinery runs, past the brute-force cap: long signed 2-CNF cycles, which
+the transfer-matrix walk settles, and cubic edge covers, which bisect.
+
+refcount counts models modulo 2 by variable elimination over GF(2) and
+shares no code with the solvers; it is imported read-only from the
+benchmark directory.  It needs numpy (the ``test`` extra).
+"""
+
+import os
+import random
+import sys
+
+import pytest
+
+from test_cycle_walk import cycle_clauses
+from test_occ2 import cubic_edge_cover
+from xparity.formula import Formula
+from xparity.occ2 import solve_occ2
+from xparity.telemetry import Telemetry
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+)
+import refcount  # noqa: E402
+
+
+def reference(phi: Formula) -> int:
+    assert phi.variables == set(range(1, phi.n + 1))
+    return refcount.cnf_parity(phi.n, phi.clauses)
+
+
+def signed_cycle(rng: random.Random, first: int, k: int, odd: bool) -> list:
+    """Clauses of a randomly signed cycle over first..first+k-1 in random
+    order, redrawn until its parity is the one asked for."""
+    labels = list(range(first, first + k))
+    rng.shuffle(labels)
+    while True:
+        clauses = cycle_clauses(rng, labels)
+        if refcount.cycle_parity(clauses) == odd:
+            return clauses
+
+
+def signed_cycle_set(seed: int) -> Formula:
+    """11 to 400 variables in cycles of at least 11 (shorter ones the
+    reducer settles by brute force).  Every cycle is odd except, for odd
+    seeds, the last, so both verdicts occur."""
+    rng = random.Random(seed)
+    total = rng.randint(11, 400)
+    lengths = []
+    while total - sum(lengths) >= 22:
+        lengths.append(rng.randint(11, total - sum(lengths) - 11))
+    lengths.append(total - sum(lengths))
+    clauses, first = [], 1
+    for i, k in enumerate(lengths):
+        odd = not (seed % 2 and i == len(lengths) - 1)
+        clauses += signed_cycle(rng, first, k, odd)
+        first += k
+    return Formula(range(1, first), clauses)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_signed_cycle_sets(seed):
+    phi = signed_cycle_set(seed)
+    want = reference(phi)
+    assert want == 1 - seed % 2
+    assert solve_occ2(phi, Telemetry(strict=True)) == want
+
+
+@pytest.mark.parametrize("vertices, seed", [(40, 0), (40, 1), (60, 2), (60, 3), (80, 4)])
+def test_cubic_edge_covers(vertices, seed):
+    phi = cubic_edge_cover(random.Random(seed), vertices)
+    assert solve_occ2(phi, Telemetry(strict=True)) == reference(phi)

@@ -42,9 +42,9 @@ CASES = {
 # parity, nodes, leaves, ledger entries, {rule id: firings} (rules that fire)
 PINNED = {
     "occ2 cubic edge cover, 40 vertices":
-        (0, 22, 23, 24, {"R4": 153, "R5": 159, "R6": 18, "R7": 193, "R13": 1}),
+        (0, 22, 23, 24, {"R4": 148, "R5": 154, "R6": 17, "R7": 189, "R13": 1}),
     "occ2 signed 2-CNF cycles":
-        (1, 0, 5, 0, {"R4": 24, "R5": 50, "R6": 4, "R7": 48}),
+        (1, 0, 5, 0, {}),
     "length 4-regular 3-CNF (step 1)":
         (0, 39, 40, 147, {"R1": 5, "R4": 121, "R5": 172, "R6": 17, "R7": 139, "R8": 4,
                           "R9": 2, "R10": 3}),
