@@ -1,9 +1,10 @@
 """The three parity-preserving branching schemes.
 
 Each scheme splits a formula into children whose parities XOR to the
-parent's parity.  Children are returned unreduced: the solvers reduce them
-themselves so the measure bookkeeping can attribute the whole drop to
-branch-plus-reduction, the quantity the analysis bounds.
+parent's parity.  Children are returned unreduced: ``settle_children``
+reduces them with each solver's own reduction, so the measure bookkeeping
+can attribute the whole drop to branch-plus-reduction, the quantity the
+analysis bounds.
 """
 
 from __future__ import annotations
@@ -25,6 +26,24 @@ from .formula import (
 class BranchSet:
     children: list
     labels: list  # per-child description
+
+
+def settle_children(branch: BranchSet, reduce, tel, depth: int, leaf, step=None, check=None):
+    """Reduce the children of a node at ``depth`` in order, yielding
+    ``(parity, rest)`` for each: ``reduce(child)`` returns the parity once
+    the child is settled, else None, and what the solver goes on with.
+    After the reduction's own records, the child files its ledger entry for
+    ``step`` from ``check(i, parity, rest) = (claimed, observed, passed,
+    note)``, then, if settled, a leaf of kind ``leaf`` (``leaf[parity]``
+    for a pair).  A child is reduced only when the caller asks for it."""
+    for i, child in enumerate(branch.children):
+        parity, rest = reduce(child)
+        if step is not None:
+            claimed, observed, passed, note = check(i, parity, rest)
+            tel.check(step, i, claimed, observed, passed, parity is not None, note)
+        if parity is not None:
+            tel.leaf(depth + 1, leaf if isinstance(leaf, str) else leaf[parity])
+        yield parity, rest
 
 
 def simple_branch(phi: Formula, x: int) -> BranchSet:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .branching import clause_branch, variable_branch
+from .branching import clause_branch, settle_children, variable_branch
 from .formula import Formula, flip_variable
 from .length import solve_length
 from .reducer import reduce_formula
@@ -78,29 +78,22 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Iter
         tel.node(depth, "docc.to-positive", {"pivot": list(pivot), "on": x})
         branch = clause_branch(cur, pivot)
         claims = [1, 2]
-        for i, child in enumerate(branch.children):
+
+        # an empty child is not settled here: it is a positive leaf
+        def reduce(child):
             out = reduce_formula(child, parent=cur)
-            if out.settled:
-                tel.check(
-                    "docc.to-positive",
-                    i,
-                    claimed={"dm": claims[i]},
-                    observed={"dm": cur.m},
-                    passed=True,
-                    resolved=True,
-                )
-                tel.leaf(depth + 1, "docc.verdict")
-                continue
-            dm = cur.m - out.formula.m
-            tel.check(
-                "docc.to-positive",
-                i,
-                claimed={"dm": claims[i]},
-                observed={"dm": dm},
-                passed=dm >= claims[i],
-                note=branch.labels[i],
-            )
-            stack.append((out.formula, depth + 1))
+            return out.verdict, out.formula
+
+        def check(i, verdict, rest):
+            if verdict is not None:
+                return {"dm": claims[i]}, {"dm": cur.m}, True, ""
+            dm = cur.m - rest.m
+            return {"dm": claims[i]}, {"dm": dm}, dm >= claims[i], branch.labels[i]
+
+        children = settle_children(
+            branch, reduce, tel, depth, "docc.verdict", "docc.to-positive", check
+        )
+        stack.extend((rest, depth + 1) for verdict, rest in children if verdict is None)
 
 
 def solve_positive_fib(phi: Formula, telemetry: Telemetry | None = None) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import occ2 as occ2_mod
-from .branching import clause_branch, simple_branch, variable_branch
+from .branching import clause_branch, settle_children, simple_branch, variable_branch
 from .formula import Formula, clause_sort_key, flip_variable, var_of
 from .occ2 import Occ2Config
 from .oracle import brute_parity
@@ -248,14 +248,14 @@ def _branch_for(step: Step):
 def _reduce_checked(phi: Formula, tel: Telemetry, parent: Formula | None = None):
     """Reduce (from ``parent``'s fixpoint, see ``reduce_formula``) and
     assert the measure never increased (and stays below the formula length,
-    which is what lets measure bounds speak about L).  Returns the outcome
-    and the reduced formula's measure (None once settled)."""
+    which is what lets measure bounds speak about L).  Returns the parity
+    once settled, else None and the reduced formula with its measure."""
     mu0 = measure_mu(phi)
     if mu0 > phi.length:
         raise ReducerInvariantError(f"mu {mu0} exceeds length {phi.length}")
     out = reduce_formula(phi, parent=parent)
     if out.formula is None:
-        return out, None
+        return out.parity, None
     mu1 = measure_mu(out.formula)
     if mu1 > out.formula.length:
         raise ReducerInvariantError("mu exceeds length after reduction")
@@ -266,7 +266,7 @@ def _reduce_checked(phi: Formula, tel: Telemetry, parent: Formula | None = None)
         observed={"mu_drop": mu0 - mu1},
         passed=mu1 <= mu0,
     )
-    return out, mu1
+    return out.parity, (None if out.parity is not None else (out.formula, mu1))
 
 
 def _solve(psi: Formula, mu: Fraction, tel: Telemetry, depth: int, cfg: Occ2Config) -> int:
@@ -289,30 +289,19 @@ def _solve(psi: Formula, mu: Fraction, tel: Telemetry, depth: int, cfg: Occ2Conf
         {"pivot": list(step.clause) if step.kind == "step2" else step.pivot,
          "flips": list(step.flips)},
     )
-    parity = 0
-    outs = []  # (reduction outcome, reduced measure, measure drop) per child
-    for i, child in enumerate(branch.children):
-        # reduced inside the loop: each reduction files its own ledger entry;
-        # a flip is a renaming, so step.formula is at the fixpoint as psi is
-        out, mu_child = _reduce_checked(child, tel, step.formula)
-        resolved = out.parity is not None
+
+    def check(i, parity, rest):
         # a flip keeps every degree, so mu is also step.formula's measure
-        drop = mu if resolved else mu - mu_child
-        outs.append((out, mu_child, drop))
-        tel.check(
-            f"len.{step.kind}",
-            i,
-            claimed=step.claims[i],
-            observed={"drop": drop},
-            passed=drop >= step.claims[i]["drop"],
-            resolved=resolved,
-            note=branch.labels[i],
-        )
-        if resolved:
-            tel.leaf(depth + 1, f"len.{step.kind}-settled")
-            parity ^= out.parity
-    if step.joint is not None and all(out.parity is None for out, _, _ in outs):
-        total = sum((drop for _, _, drop in outs), Fraction(0))
+        claim, drop = step.claims[i], mu if rest is None else mu - rest[1]
+        return claim, {"drop": drop}, drop >= claim["drop"], branch.labels[i]
+
+    # a flip is a renaming, so step.formula is at the fixpoint as psi is
+    children = list(settle_children(
+        branch, lambda child: _reduce_checked(child, tel, step.formula),
+        tel, depth, f"len.{step.kind}-settled", f"len.{step.kind}", check,
+    ))
+    if step.joint is not None and all(p is None for p, _ in children):
+        total = sum((mu - mu_child for _, (_, mu_child) in children), Fraction(0))
         tel.check(
             f"len.{step.kind}-joint",
             0,
@@ -320,9 +309,9 @@ def _solve(psi: Formula, mu: Fraction, tel: Telemetry, depth: int, cfg: Occ2Conf
             observed={"sum": total},
             passed=total >= step.joint,
         )
-    for out, mu_child, _ in outs:
-        if out.parity is None:
-            parity ^= _solve(out.formula, mu_child, tel, depth + 1, cfg)
+    parity = 0
+    for p, rest in children:
+        parity ^= _solve(*rest, tel, depth + 1, cfg) if p is None else p
     return parity
 
 
@@ -333,8 +322,8 @@ def solve_length(
     drives the 2-occurrence residue handed to ``occ2``."""
     tel = telemetry if telemetry is not None else Telemetry()
     cfg = config if config is not None else Occ2Config()
-    out, mu = _reduce_checked(phi, tel)
-    if out.parity is not None:
-        tel.leaf(0, "len.empty" if out.parity else "len.verdict")
-        return out.parity
-    return _solve(out.formula, mu, tel, 0, cfg)
+    parity, rest = _reduce_checked(phi, tel)
+    if parity is not None:
+        tel.leaf(0, "len.empty" if parity else "len.verdict")
+        return parity
+    return _solve(*rest, tel, 0, cfg)

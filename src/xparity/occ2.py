@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .branching import clause_branch
+from .branching import clause_branch, settle_children
 from .factors import epsilon_prime
 from .formula import Formula, assign_literal, clause_sort_key, var_of
 from .oracle import brute_parity
@@ -368,8 +368,8 @@ def rho_measure(a, b, s_count: int, eps_prime: float) -> float:
 def _prepare(psi: Formula, tel: Telemetry, depth: int):
     """Settle the self-loops of a non-empty formula at the reducer's
     fixpoint, then peel off its pure 2-CNF components.  Returns
-    (factor, core): the parity is factor & parity(core), and core is None
-    when factor alone is the parity."""
+    (parity, None) once that settles it, else (None, core), where core has
+    psi's parity."""
     out = eliminate_self_loops(psi)
     if out.parity is not None:
         return out.parity, None
@@ -383,15 +383,22 @@ def _prepare(psi: Formula, tel: Telemetry, depth: int):
                 return 0, None
         else:
             cores.append(comp)
-    return 1, subformula(psi, [i for comp in cores for i in comp]) if cores else None
+    return (None, subformula(psi, [i for comp in cores for i in comp])) if cores else (1, None)
+
+
+def _reduced(child: Formula, parent: Formula):
+    """``settle_children``'s reduce for a branch child of ``parent``."""
+    out = reduce_formula(child, parent=parent)
+    return out.parity, out.formula
 
 
 def _base_solve(psi: Formula, tel: Telemetry, depth: int) -> int:
-    """Constant-region solver: iterative clause branching on 3-clauses, then
-    the polynomial 2-CNF routine."""
+    """Constant-region solver for a formula at the reducer's fixpoint:
+    iterative clause branching on 3-clauses, then one walk round each
+    2-CNF cycle (the fixpoint leaves no 2-CNF paths)."""
     if psi.m3 == 0:
         tel.leaf(depth, "occ2.base-2cnf")
-        return solve_2cnf(psi)
+        return int(all(_break_cycle(subformula(psi, comp)) for comp in clause_components(psi)))
     comps = clause_components(psi)
     if len(comps) > 1:
         parity = 1
@@ -402,14 +409,11 @@ def _base_solve(psi: Formula, tel: Telemetry, depth: int) -> int:
         return parity
     pivot = min((c for c in psi.clauses if len(c) == 3), key=clause_sort_key)
     tel.node(depth, "occ2.base-branch", {"pivot": list(pivot)})
+    branch = clause_branch(psi, pivot)
+    leaf = ("occ2.verdict", "occ2.empty")
     parity = 0
-    for child in clause_branch(psi, pivot).children:
-        out = reduce_formula(child, parent=psi)
-        if out.parity is None:
-            parity ^= _base_solve(out.formula, tel, depth + 1)
-        else:
-            tel.leaf(depth + 1, "occ2.empty" if out.parity else "occ2.verdict")
-            parity ^= out.parity
+    for p, rest in settle_children(branch, lambda c: _reduced(c, psi), tel, depth, leaf):
+        parity ^= _base_solve(rest, tel, depth + 1) if p is None else p
     return parity
 
 
@@ -504,46 +508,45 @@ def _bisection_solve(phi, a, b, tel, depth, cfg, pick_from_b, last_side, g) -> i
          "sizes": [len(a), len(b), len(s)]},
     )
     rho_parent = rho_measure(a, b, len(s), cfg.eps_prime)
-    parity = 0
-    for i, child in enumerate(clause_branch(phi, pivot).children):
+    claimed = {"case": "dS>=2 or (dS=1, dSide>=3, dOther>=1)"}
+
+    def reduce(child):
+        # a surviving child's core, with its sides, multigraph and cut
         out = reduce_formula(child, parent=phi)
-        if out.parity is None:
-            factor, core = _prepare(out.formula, tel, depth + 1)
-        else:
-            factor, core = out.parity, None
+        if out.parity is not None:
+            return out.parity, None
+        parity, core = _prepare(out.formula, tel, depth + 1)
         if core is None:
-            tel.check(
-                "occ2.bisect-branch",
-                i,
-                claimed={"case": "dS>=2 or (dS=1, dSide>=3, dOther>=1)"},
-                observed={"dA": len(a), "dB": len(b), "dS": len(s)},
-                passed=True,
-                resolved=True,
-                note=f"side {side_name}; child settled outright",
-            )
-            tel.leaf(depth + 1, "occ2.resolved")
-            parity ^= factor
-            continue
-        core_clauses = set(core.clauses)
-        a_i = frozenset(c for c in a if c in core_clauses)
-        b_i = frozenset(c for c in b if c in core_clauses)
+            return parity, None
+        kept = set(core.clauses)
+        a_i = frozenset(c for c in a if c in kept)
+        b_i = frozenset(c for c in b if c in kept)
         g_i = build_multigraph(core)
-        s_i = crossing_edges(g_i, a_i, b_i)
+        return None, (core, a_i, b_i, g_i, crossing_edges(g_i, a_i, b_i))
+
+    def check(i, parity, rest):
+        if rest is None:
+            observed = {"dA": len(a), "dB": len(b), "dS": len(s)}
+            return claimed, observed, True, f"side {side_name}; child settled outright"
+        _, a_i, b_i, _, s_i = rest
         d_a, d_b, d_s = len(a) - len(a_i), len(b) - len(b_i), len(s) - len(s_i)
         d_side, d_other = (d_b, d_a) if pick_from_b else (d_a, d_b)
+        rho_drop = round(rho_parent - rho_measure(a_i, b_i, len(s_i), cfg.eps_prime), 6)
+        observed = {"dA": d_a, "dB": d_b, "dS": d_s, "rho_drop": rho_drop}
         passed = d_s >= 2 or (d_s == 1 and d_side >= 3 and d_other >= 1)
-        tel.check(
-            "occ2.bisect-branch",
-            i,
-            claimed={"case": "dS>=2 or (dS=1, dSide>=3, dOther>=1)"},
-            observed={"dA": d_a, "dB": d_b, "dS": d_s,
-                      "rho_drop": round(rho_parent - rho_measure(a_i, b_i, len(s_i), cfg.eps_prime), 6)},
-            passed=passed,
-            note=f"side {side_name}",
-        )
-        parity ^= factor & _bisection_solve(
-            core, a_i, b_i, tel, depth + 1, cfg, not pick_from_b, side_name, g_i
-        )
+        return claimed, observed, passed, f"side {side_name}"
+
+    children = settle_children(
+        clause_branch(phi, pivot), reduce, tel, depth, "occ2.resolved", "occ2.bisect-branch", check
+    )
+    parity = 0
+    for p, rest in children:  # each subtree is searched before the next child is reduced
+        if p is None:
+            core, a_i, b_i, g_i, _ = rest
+            p = _bisection_solve(
+                core, a_i, b_i, tel, depth + 1, cfg, not pick_from_b, side_name, g_i
+            )
+        parity ^= p
     return parity
 
 
@@ -578,24 +581,19 @@ def _branch_4plus(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> 
         {"dm": len(pivot) + 1, "dn": len(nb_all_vars)},
         {"dm": 1, "dn": len(pivot) + len(ext2)},
     ]
-    parity = 0
-    outs = []
-    for i, child in enumerate(clause_branch(psi, pivot).children):
-        out = reduce_formula(child, parent=psi)
-        outs.append(out)
-        resolved = out.parity is not None
-        dm, dn = (psi.m, psi.n) if resolved else (psi.m - out.formula.m, psi.n - out.formula.n)
-        tel.check(
-            "occ2.4plus",
-            i,
-            claimed=claims[i],
-            observed={"dm": dm, "dn": dn, "n2_neighbors": n2},
-            passed=dm >= claims[i]["dm"] and dn >= claims[i]["dn"],
-            resolved=resolved,
-            note="drop branch" if i == 0 else "falsify branch",
-        )
-    if all(out.parity is None for out in outs):
-        dns = [psi.n - out.formula.n for out in outs]
+
+    def check(i, parity, rest):
+        dm, dn = (psi.m, psi.n) if parity is not None else (psi.m - rest.m, psi.n - rest.n)
+        passed = dm >= claims[i]["dm"] and dn >= claims[i]["dn"]
+        note = "drop branch" if i == 0 else "falsify branch"
+        return claims[i], {"dm": dm, "dn": dn, "n2_neighbors": n2}, passed, note
+
+    children = list(settle_children(
+        clause_branch(psi, pivot), lambda c: _reduced(c, psi), tel, depth,
+        "occ2.resolved", "occ2.4plus", check,
+    ))
+    if all(p is None for p, _ in children):
+        dns = [psi.n - rest.n for _, rest in children]
         dn_sum, dn_min = sum(dns), min(dns)
         tel.check(
             "occ2.4plus-pair",
@@ -604,12 +602,9 @@ def _branch_4plus(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> 
             observed={"dn_sum": dn_sum, "dn_min": dn_min},
             passed=dn_sum >= 13 and dn_min >= 4,
         )
-    for out in outs:
-        if out.parity is None:
-            parity ^= _solve_reduced(out.formula, tel, depth + 1, cfg)
-        else:
-            tel.leaf(depth + 1, "occ2.resolved")
-            parity ^= out.parity
+    parity = 0
+    for p, rest in children:
+        parity ^= _solve_reduced(rest, tel, depth + 1, cfg) if p is None else p
     return parity
 
 
@@ -621,12 +616,12 @@ def _solve_reduced(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) ->
         return brute_parity(psi)
     if any(len(c) >= 4 for c in psi.clauses):
         return _branch_4plus(psi, tel, depth, cfg)
-    factor, core = _prepare(psi, tel, depth)
+    parity, core = _prepare(psi, tel, depth)
     if core is None:
         tel.leaf(depth, "occ2.settled")
-        return factor
+        return parity
     threes = frozenset(c for c in core.clauses if len(c) == 3)
-    return factor & bisection_solve(core, threes, frozenset(), tel, depth, cfg)
+    return bisection_solve(core, threes, frozenset(), tel, depth, cfg)
 
 
 def solve_occ2(

@@ -1,13 +1,18 @@
+import io
+import json
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xparity.branching import clause_branch, simple_branch, variable_branch
+from xparity.branching import clause_branch, settle_children, simple_branch, variable_branch
 from xparity.formula import Formula, falsify_clause
+from xparity.generators import gen_4plus_survivor
+from xparity.occ2 import solve_occ2
 from xparity.oracle import brute_parity
 from xparity.reducer import reduce_formula
+from xparity.telemetry import Telemetry
 
 
 def formulas(max_n=6, max_m=6, max_len=3):
@@ -182,3 +187,88 @@ def test_variable_branch_matches_two_step_construction(case):
     assert outcome(lambda p, v: variable_branch(p, v).children, phi, x) == outcome(
         two_step_variable_branch, phi, x
     )
+
+
+# -- settle_children ----------------------------------------------------------
+
+
+def records(sink) -> list:
+    return [json.loads(line) for line in sink.getvalue().splitlines()]
+
+
+def scripted_reduce(tel, parities):
+    """A reduce that files one record of its own per child and settles
+    child i to ``parities[i]`` (None: it survives as itself); ``reduced``
+    lists the indices of the children reduced so far."""
+    reduced = []
+
+    def reduce(child):
+        i = len(reduced)
+        reduced.append(i)
+        tel.event({"kind": "reduce", "child": i})
+        return parities[i], None if parities[i] is not None else child
+
+    return reduce, reduced
+
+
+def three_children():
+    return variable_branch(Formula([1, 2, 3, 4], [[1, 2], [1, 3], [1, 4]]), 1)
+
+
+def claim_one(i, parity, rest):
+    return {"drop": 1}, {"drop": 1}, True, f"child {i}"
+
+
+def test_settle_children_files_reduction_then_ledger_then_leaf():
+    sink = io.StringIO()
+    tel = Telemetry(sink=sink)
+    reduce, _ = scripted_reduce(tel, [None, 0, 1])
+    branch = three_children()
+    got = list(settle_children(branch, reduce, tel, 4, ("t.zero", "t.one"), "t.step", claim_one))
+    assert got == [(None, branch.children[0]), (0, None), (1, None)]
+    order = [(r["kind"], r.get("child"), r.get("resolved"), r.get("node")) for r in records(sink)]
+    assert order == [
+        ("reduce", 0, None, None), ("ledger", 0, False, None),
+        ("reduce", 1, None, None), ("ledger", 1, True, None), ("leaf", None, None, "t.zero"),
+        ("reduce", 2, None, None), ("ledger", 2, True, None), ("leaf", None, None, "t.one"),
+    ]
+    assert {r["depth"] for r in records(sink) if r["kind"] == "leaf"} == {5}
+    assert [e.note for e in tel.ledger] == ["child 0", "child 1", "child 2"]
+
+
+def test_settle_children_files_no_ledger_entry_without_a_step():
+    sink = io.StringIO()
+    tel = Telemetry(sink=sink)
+    reduce, _ = scripted_reduce(tel, [1, None, 0])
+    list(settle_children(three_children(), reduce, tel, 0, "t.settled"))
+    assert [r["kind"] for r in records(sink)] == ["reduce", "leaf", "reduce", "reduce", "leaf"]
+    assert tel.ledger == [] and tel.leaves == 2
+
+
+def test_settle_children_reduces_a_child_only_when_resumed():
+    tel = Telemetry()
+    reduce, reduced = scripted_reduce(tel, [None, 1, None])
+    children = settle_children(three_children(), reduce, tel, 0, "t.settled", "t.step", claim_one)
+    assert reduced == []
+    for i in range(3):
+        next(children)
+        assert reduced == list(range(i + 1)) and len(tel.ledger) == i + 1
+    with pytest.raises(StopIteration):
+        next(children)
+
+
+def test_resolved_leaf_follows_its_own_ledger_entry():
+    # 4+-clause branching files a joint check after both children, so it
+    # takes them all before recursing; each settled child's leaf still
+    # directly follows the child's ledger entry
+    steps = set()
+    for seed in range(5):
+        sink = io.StringIO()
+        solve_occ2(gen_4plus_survivor(seed), Telemetry(sink=sink))
+        recs = records(sink)
+        for j, r in enumerate(recs):
+            if r["kind"] == "leaf" and r["node"] == "occ2.resolved":
+                before = recs[j - 1]
+                assert before["kind"] == "ledger" and before["resolved"], (seed, j)
+                steps.add(before["step"])
+    assert "occ2.4plus" in steps

@@ -1,11 +1,14 @@
-"""Pinned search trees: parity, tree nodes and leaves, ledger entries and
-R1-R13 firing counts of eight fixed instances, one or more per solver route.
+"""Pinned search trees: parity, tree nodes and leaves, ledger entries,
+R1-R13 firing counts and the sha256 of the JSON-lines telemetry stream of
+eight fixed instances, one or more per solver route.
 
 A change meant to keep every search tree (a faster rule, a cheaper
 transform, a scoped rescan) must leave these figures as they are.  A change
 that alters a tree updates them and says why.
 """
 
+import hashlib
+import io
 import random
 
 import pytest
@@ -60,6 +63,27 @@ PINNED = {
         (0, 933, 795, 0, {}),
 }
 
+# sha256 of each case's telemetry stream: every node, leaf, ledger and
+# bisection record, in order
+STREAM_SHA256 = {
+    "occ2 cubic edge cover, 40 vertices":
+        "4bd5fee688e14ea8348bba76be716d6c893c0ead1ad6fae6c209fb7bab4f0c95",
+    "occ2 signed 2-CNF cycles":
+        "8f62c7d0d13eb7aa7718737cbbdb9c5e77085e03bcd4fad16674dbda9b8a9aa7",
+    "length 4-regular 3-CNF (step 1)":
+        "c6ca0b13c84f2808df4c9c3602ddc611130940a58ef356a4158d273b5c25a700",
+    "length mixed 3-regular 3-CNF (step 3)":
+        "53d82ce35882fefdd50fe9fc9a3a09f5fe6463ac9654cb533fa1fa286cbb8aa6",
+    "length positive 3-regular 3-CNF (steps 4, 5)":
+        "c5decbd1ba97ab142c776467993922cadf7a993eeb711d29baec239bcb29cb8e",
+    "length circulant triples (step 5.2)":
+        "d8d237ca6a1d87f2bb07b196916a8fcf6944e224f64a35ba5cc159650d1a47a3",
+    "docc mixed 3-occ":
+        "b58c3e0ec3cd155aa5e342826ca0175e545005713cf44694a5b101da16b52305",
+    "positive-fib positive 3-regular":
+        "313bc19e18d08a0d050bfa2fdc1c3d42af6cefde12e656748b14c243b5f13cdf",
+}
+
 
 def firing_counts(monkeypatch) -> dict:
     counts = {}
@@ -80,10 +104,12 @@ def firing_counts(monkeypatch) -> dict:
 def test_search_tree_is_pinned(monkeypatch, name):
     solve, make = CASES[name]
     counts = firing_counts(monkeypatch)
-    tel = Telemetry()
+    sink = io.StringIO()
+    tel = Telemetry(sink=sink)
     parity = solve(make(), tel)
     got = (parity, tel.nodes, tel.leaves, len(tel.ledger), counts)
     assert got == PINNED[name]
+    assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == STREAM_SHA256[name]
 
 
 def test_pinned_cases_reach_their_steps(monkeypatch):
