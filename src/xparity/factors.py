@@ -34,28 +34,6 @@ def tau(*vector: float, tol: float = 1e-12) -> float:
     return (lo + hi) / 2
 
 
-def fibonacci_constant(d: int, tol: float = 1e-9) -> float:
-    """Root of x^d (2 - x) = 1 in (1, 2); equals tau(d, d-1, ..., 1) and
-    governs variable branching on positive formulas of maximum degree d."""
-    if d < 1:
-        raise ValueError("d must be positive")
-
-    def f(x: float) -> float:
-        return x**d * (2 - x) - 1.0
-
-    lo, hi = 1.0 + 1e-15, 2.0 - 1e-15
-    # f > 0 inside the interval below the root, f < 0 above it
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if hi - lo < tol / 10:
-            break
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 def epsilon_prime(n_eps: int, eps: float = 1e-9) -> float:
     """Largest eps' with (3 - eps')(1/6 + eps) <= 1/2 - 1/n_eps, the slack
     that makes rebisection measure-safe."""

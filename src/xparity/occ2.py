@@ -204,44 +204,33 @@ def _break_cycle(sub: Formula) -> int:
 # -- self-loop elimination -------------------------------------------------------
 
 
-def find_self_loop(phi: Formula):
-    """A 3-clause whose chain through two of its variables returns to it:
-    returns (clause index, subformula clause indices, hinge variable)."""
-    for cidx, clause in enumerate(phi.clauses):
-        if len(clause) != 3:
-            continue
-        cvars = sorted({var_of(l) for l in clause})
-        for v in cvars:
-            end_idx, end_var, chain = _walk(phi, cidx, v)
-            if end_idx == cidx and end_var != v and chain:
-                hinge = [w for w in cvars if w not in (v, end_var)]
-                if len(hinge) != 1:
-                    continue
-                return cidx, [cidx] + chain, hinge[0]
-    return None
-
-
-def eliminate_self_loops(phi: Formula) -> ReductionOutcome:
+def eliminate_self_loops(phi: Formula) -> tuple[ReductionOutcome, ClauseMultigraph | None]:
     """Settle every loop subformula of a formula at the reducer's fixpoint,
     with the 2-CNF solver standing in for brute force (the hinged
-    small-subformula rule, scaled past the 10-variable cap).  The outcome is
-    the verdict 0 or the reduced loop-free formula, empty when the parity
-    is 1."""
+    small-subformula rule, scaled past the 10-variable cap).  A loop is a
+    self-loop edge of the multigraph: its 3-clause, whose chain returns to
+    it, and the chain's 2-clauses; the hinge is the 3-clause's third
+    variable.  Returns (outcome, g): the outcome is the verdict 0 or the
+    reduced loop-free formula, empty when the parity is 1, and g is that
+    formula's multigraph, or None once settled."""
     out = ReductionOutcome(phi, None)
     while out.parity is None:
         phi = out.formula
-        loop = find_self_loop(phi)
-        if loop is None:
-            break
-        _, idxs, hinge = loop
+        g = build_multigraph(phi)
+        if not g.self_loops:
+            return out, g
+        e = g.self_loops[0]
+        loop = {e.u, *e.label[1:]}
+        idxs = [i for i, c in enumerate(phi.clauses) if c in loop]
+        (hinge,) = {var_of(l) for l in e.u} - {var_of(l) for c in e.label[1:] for l in c}
         sub = subformula(phi, idxs)
         p1 = solve_2cnf(assign_literal(sub, hinge))
         p0 = solve_2cnf(assign_literal(sub, -hinge))
         if p0 == 0 and p1 == 0:
-            return ReductionOutcome(None, 0)
+            return ReductionOutcome(None, 0), None
         # the reducer settles any degeneracy an unassigned hinge leaves
         out = reduce_formula(remove_hinged_side(phi, idxs, sub, hinge, p0, p1))
-    return out
+    return out, None
 
 
 # -- bisection ------------------------------------------------------------------
@@ -368,9 +357,10 @@ def rho_measure(a, b, s_count: int, eps_prime: float) -> float:
 def _prepare(psi: Formula, tel: Telemetry, depth: int):
     """Settle the self-loops of a non-empty formula at the reducer's
     fixpoint, then peel off its pure 2-CNF components.  Returns
-    (parity, None) once that settles it, else (None, core), where core has
-    psi's parity."""
-    out = eliminate_self_loops(psi)
+    (parity, None) once that settles it, else (None, (core, g)), where core
+    has psi's parity and g is its multigraph: the peeled components hold no
+    3-clause, so they add nothing to it."""
+    out, g = eliminate_self_loops(psi)
     if out.parity is not None:
         return out.parity, None
     psi = out.formula
@@ -383,7 +373,9 @@ def _prepare(psi: Formula, tel: Telemetry, depth: int):
                 return 0, None
         else:
             cores.append(comp)
-    return (None, subformula(psi, [i for comp in cores for i in comp])) if cores else (1, None)
+    if not cores:
+        return 1, None
+    return None, (subformula(psi, [i for comp in cores for i in comp]), g)
 
 
 def _reduced(child: Formula, parent: Formula):
@@ -419,6 +411,7 @@ def _base_solve(psi: Formula, tel: Telemetry, depth: int) -> int:
 
 def bisection_solve(
     phi: Formula,
+    g: ClauseMultigraph,
     a: frozenset,
     b: frozenset,
     tel: Telemetry,
@@ -428,15 +421,9 @@ def bisection_solve(
     last_side: str | None = None,
 ) -> int:
     """The bisection-guided solver: maintains a disjoint partition (a, b) of
-    the 3-clauses and branches on endpoints of partition-crossing multigraph
-    edges, alternating sides level by level.  phi must be at the reducer's
-    fixpoint: its branch children are reduced from there."""
-    return _bisection_solve(phi, a, b, tel, depth, cfg, pick_from_b, last_side, None)
-
-
-def _bisection_solve(phi, a, b, tel, depth, cfg, pick_from_b, last_side, g) -> int:
-    """``bisection_solve`` with ``g``, phi's multigraph when the caller has
-    built it already (a branch child's, for its ledger entry), else None."""
+    the 3-clauses and branches on endpoints of partition-crossing edges of
+    g, phi's multigraph, alternating sides level by level.  phi must be at
+    the reducer's fixpoint: its branch children are reduced from there."""
     if not a and b:
         # relabel the sides; last_side names the parent's side, so it
         # follows the relabelling and the alternation check stays valid
@@ -445,8 +432,6 @@ def _bisection_solve(phi, a, b, tel, depth, cfg, pick_from_b, last_side, g) -> i
         last_side = {"A": "B", "B": "A"}.get(last_side)
     if phi.m3 <= cfg.n_eps:
         return _base_solve(phi, tel, depth)
-    if g is None:
-        g = build_multigraph(phi)
     if g.self_loops:
         raise ReducerInvariantError("self-loops survived elimination")
 
@@ -454,7 +439,7 @@ def _bisection_solve(phi, a, b, tel, depth, cfg, pick_from_b, last_side, g) -> i
         part = bisect_multigraph(g, cfg.seed)
         if part.balance > 1:
             raise ReducerInvariantError("bisection is unbalanced")
-        rho_before = rho_measure(a, b, len(crossing_edges(g, a, b)), cfg.eps_prime)
+        rho_before = rho_measure(a, b, 0, cfg.eps_prime)  # b is empty: no edge crosses
         rho_after = rho_measure(part.a, part.b, len(part.cut), cfg.eps_prime)
         fraction = len(part.cut) / len(g.vertices)
         # the analysis bounds the measure only for cuts within 1/6 + eps
@@ -487,8 +472,10 @@ def _bisection_solve(phi, a, b, tel, depth, cfg, pick_from_b, last_side, g) -> i
             threes = frozenset(c for c in sub.clauses if len(c) == 3)
             if not (threes <= a or threes <= b):
                 raise ReducerInvariantError("component straddles the partition without cut edges")
+            # no edge leaves a component, so its edges are those at its 3-clauses
+            g_sub = ClauseMultigraph(threes, [e for e in g.edges if e.u in threes])
             parity &= bisection_solve(
-                sub, threes, frozenset(), tel, depth, cfg, pick_from_b, last_side
+                sub, g_sub, threes, frozenset(), tel, depth, cfg, pick_from_b, last_side
             )
             if parity == 0:
                 return 0
@@ -515,20 +502,18 @@ def _bisection_solve(phi, a, b, tel, depth, cfg, pick_from_b, last_side, g) -> i
         out = reduce_formula(child, parent=phi)
         if out.parity is not None:
             return out.parity, None
-        parity, core = _prepare(out.formula, tel, depth + 1)
-        if core is None:
+        parity, prepared = _prepare(out.formula, tel, depth + 1)
+        if prepared is None:
             return parity, None
-        kept = set(core.clauses)
-        a_i = frozenset(c for c in a if c in kept)
-        b_i = frozenset(c for c in b if c in kept)
-        g_i = build_multigraph(core)
-        return None, (core, a_i, b_i, g_i, crossing_edges(g_i, a_i, b_i))
+        core, g_i = prepared
+        a_i, b_i = a & g_i.vertices, b & g_i.vertices
+        return None, (core, g_i, a_i, b_i, crossing_edges(g_i, a_i, b_i))
 
     def check(i, parity, rest):
         if rest is None:
             observed = {"dA": len(a), "dB": len(b), "dS": len(s)}
             return claimed, observed, True, f"side {side_name}; child settled outright"
-        _, a_i, b_i, _, s_i = rest
+        _, _, a_i, b_i, s_i = rest
         d_a, d_b, d_s = len(a) - len(a_i), len(b) - len(b_i), len(s) - len(s_i)
         d_side, d_other = (d_b, d_a) if pick_from_b else (d_a, d_b)
         rho_drop = round(rho_parent - rho_measure(a_i, b_i, len(s_i), cfg.eps_prime), 6)
@@ -542,9 +527,9 @@ def _bisection_solve(phi, a, b, tel, depth, cfg, pick_from_b, last_side, g) -> i
     parity = 0
     for p, rest in children:  # each subtree is searched before the next child is reduced
         if p is None:
-            core, a_i, b_i, g_i, _ = rest
-            p = _bisection_solve(
-                core, a_i, b_i, tel, depth + 1, cfg, not pick_from_b, side_name, g_i
+            core, g_i, a_i, b_i, _ = rest
+            p = bisection_solve(
+                core, g_i, a_i, b_i, tel, depth + 1, cfg, not pick_from_b, side_name
             )
         parity ^= p
     return parity
@@ -616,12 +601,12 @@ def _solve_reduced(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) ->
         return brute_parity(psi)
     if any(len(c) >= 4 for c in psi.clauses):
         return _branch_4plus(psi, tel, depth, cfg)
-    parity, core = _prepare(psi, tel, depth)
-    if core is None:
+    parity, prepared = _prepare(psi, tel, depth)
+    if prepared is None:
         tel.leaf(depth, "occ2.settled")
         return parity
-    threes = frozenset(c for c in core.clauses if len(c) == 3)
-    return bisection_solve(core, threes, frozenset(), tel, depth, cfg)
+    core, g = prepared
+    return bisection_solve(core, g, g.vertices, frozenset(), tel, depth, cfg)
 
 
 def solve_occ2(

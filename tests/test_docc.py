@@ -14,7 +14,7 @@ from xparity.docc import (
     solve_docc,
     solve_positive_fib,
 )
-from xparity.factors import fibonacci_constant
+from xparity.factors import tau
 from xparity.formula import Formula, flip_variable
 from xparity.generators import gen_random_docc
 from xparity.length import solve_length
@@ -125,7 +125,7 @@ def test_fib_requires_positive():
 
 def test_fib_oracle_fuzz_and_leaf_growth():
     for d in (2, 3):
-        bound = fibonacci_constant(d)
+        bound = tau(*range(d, 0, -1))
         for seed in range(200):
             phi = gen_random_docc(4 + seed % 9, d, 1, 4, seed=seed, polarity="positive")
             tel = Telemetry(strict=True)

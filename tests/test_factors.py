@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from xparity.factors import epsilon_prime, fibonacci_constant, tau
+from xparity.factors import epsilon_prime, tau
 
 
 def test_tau_known_roots():
@@ -49,20 +49,18 @@ def test_single_entry_vector_degenerates():
 
 
 def test_fibonacci_constants():
-    # phi_1 solves x(2-x) = 1, i.e. x = 1: the equation root is 1
-    assert abs(fibonacci_constant(1) - 1.0) < 1e-6
-    # phi_2 is the golden ratio and equals tau(2, 1)
-    assert abs(fibonacci_constant(2) - tau(2, 1)) < 1e-6
-    assert abs(fibonacci_constant(2) - 1.6180339) < 1e-5
-    for d in (3, 4, 5):
-        root = fibonacci_constant(d)
+    # tau(d, d-1, ..., 1), the growth of variable branching on positive
+    # formulas of maximum degree d, is the root of x^d (2 - x) = 1 in [1, 2)
+    assert tau(1) == 1.0  # x (2 - x) = 1 has the root 1
+    assert abs(tau(2, 1) - 1.6180339) < 1e-5  # the golden ratio
+    for d in (2, 3, 4, 5):
+        root = tau(*range(d, 0, -1))
         assert abs(root**d * (2 - root) - 1.0) < 1e-6
-        assert abs(root - tau(*range(d, 0, -1))) < 1e-6
         assert 1 < root < 2
 
 
 def test_fibonacci_increases_to_two():
-    values = [fibonacci_constant(d) for d in range(2, 9)]
+    values = [tau(*range(d, 0, -1)) for d in range(2, 9)]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] < 2
 

@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xparity.formula import Formula
+from xparity import occ2
+from xparity.formula import Formula, assign_literal, var_of
 from xparity.generators import gen_4plus_survivor, gen_random_docc
 from xparity.occ2 import (
     EPS,
@@ -13,13 +19,18 @@ from xparity.occ2 import (
     build_multigraph,
     crossing_edges,
     eliminate_self_loops,
-    find_self_loop,
     solve_2cnf,
     solve_occ2,
 )
 from xparity.oracle import brute_parity
-from xparity.reducer import reduce_formula
+from xparity.reducer import ReductionOutcome, reduce_formula, remove_hinged_side, subformula
 from xparity.telemetry import Telemetry
+
+# the GF(2) reference count, imported read-only from the benchmark directory
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+)
+import refcount  # noqa: E402
 
 
 def records(sink: io.StringIO) -> list[dict]:
@@ -68,13 +79,12 @@ def test_multigraph_degree_three_on_fuzz():
         out = reduce_formula(phi)
         if out.parity is not None:
             continue
-        loop_free = eliminate_self_loops(out.formula)
+        loop_free, g = eliminate_self_loops(out.formula)
         if loop_free.parity is not None:
             continue
         # drop pure 2-clause components before grading the graph
         if loop_free.formula.m3 == 0:
             continue
-        g = build_multigraph(loop_free.formula)
         for v in g.vertices:
             assert g.degree(v) == 3
         checked += 1
@@ -110,18 +120,113 @@ def test_self_loop_detection_and_elimination():
     phi = double_loop_formula()
     out = reduce_formula(phi)
     assert out.parity is None
-    assert find_self_loop(out.formula) is not None
-    loop_free = eliminate_self_loops(out.formula)
+    assert build_multigraph(out.formula).self_loops
+    loop_free, g = eliminate_self_loops(out.formula)
     if loop_free.parity is None:
-        assert find_self_loop(loop_free.formula) is None
+        assert not build_multigraph(loop_free.formula).self_loops
+        assert g == build_multigraph(loop_free.formula)
     assert solve_occ2(phi) == brute_parity(phi)
+
+
+# -- the oracle: self-loops found by their own walk of every chain ------------
+
+
+def walk_self_loop(phi: Formula):
+    """A 3-clause whose chain through two of its variables returns to it:
+    returns (subformula clause indices, hinge variable), or None."""
+    for cidx, clause in enumerate(phi.clauses):
+        if len(clause) != 3:
+            continue
+        cvars = sorted({var_of(l) for l in clause})
+        for v in cvars:
+            end_idx, end_var, chain = occ2._walk(phi, cidx, v)
+            if end_idx == cidx and end_var != v and chain:
+                hinge = [w for w in cvars if w not in (v, end_var)]
+                if len(hinge) == 1:
+                    return [cidx] + chain, hinge[0]
+    return None
+
+
+def walk_eliminate_self_loops(phi: Formula) -> ReductionOutcome:
+    out = ReductionOutcome(phi, None)
+    while out.parity is None:
+        phi = out.formula
+        loop = walk_self_loop(phi)
+        if loop is None:
+            break
+        idxs, hinge = loop
+        sub = subformula(phi, idxs)
+        p1 = solve_2cnf(assign_literal(sub, hinge))
+        p0 = solve_2cnf(assign_literal(sub, -hinge))
+        if p0 == 0 and p1 == 0:
+            return ReductionOutcome(None, 0)
+        out = reduce_formula(remove_hinged_side(phi, idxs, sub, hinge, p0, p1))
+    return out
+
+
+def plant_self_loops(base: Formula, chains: list, rng: random.Random) -> Formula:
+    """base over 1..n, with one self-loop per chain length k hung off it: a
+    base variable x is split by a new 3-clause (x, y, h), y taking x's place
+    in its later clause, and h's other clause is a 3-clause (h, a, b) closed
+    by k randomly signed 2-clauses from a back to b."""
+    rename = {v: i for i, v in enumerate(sorted(base.variables), 1)}
+    clauses = [[rename[var_of(l)] * (1 if l > 0 else -1) for l in c] for c in base.clauses]
+
+    def signed(v):
+        return rng.choice((v, -v))
+
+    top = len(rename)
+    for k in chains:
+        x = rng.randint(1, len(rename))
+        y, h = top + 1, top + 2
+        walk = list(range(top + 3, top + k + 4))  # a, k - 1 chain variables, b
+        top = walk[-1]
+        later = next(c for c in reversed(clauses) if x in map(var_of, c))
+        slot = [var_of(l) for l in later].index(x)
+        later[slot] = y if later[slot] > 0 else -y
+        clauses.append([signed(x), signed(y), signed(h)])
+        clauses.append([signed(h), signed(walk[0]), signed(walk[-1])])
+        clauses += [[signed(walk[i]), signed(walk[i + 1])] for i in range(k)]
+    return Formula(range(1, top + 1), clauses)
+
+
+@st.composite
+def planted_loops(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        base = cubic_edge_cover(rng, draw(st.sampled_from([4, 6, 8, 10])))
+    else:
+        n = draw(st.integers(12, 30))
+        out = reduce_formula(gen_random_docc(n, 2, 2, 3, seed=rng.randrange(2**32)))
+        base = out.formula if out.parity is None else cubic_edge_cover(rng, 4)
+    chains = draw(st.lists(st.integers(9, 40), min_size=1, max_size=3))
+    return plant_self_loops(base, chains, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_loops())
+def test_planted_self_loops_match_the_walk(phi):
+    # loops past R13's 10-variable reach, read off the multigraph, are
+    # settled as the chain walk settled them
+    out = reduce_formula(phi)
+    if out.parity is None:
+        loop_free, g = eliminate_self_loops(out.formula)
+        want = walk_eliminate_self_loops(out.formula)
+        assert (loop_free.verdict, loop_free.formula) == (want.verdict, want.formula)
+        if loop_free.parity is None:
+            assert g == build_multigraph(loop_free.formula)
+        else:
+            assert g is None
+    truth = brute_parity(phi) if phi.n <= 24 else refcount.cnf_parity(phi.n, phi.clauses)
+    assert solve_occ2(phi, Telemetry(strict=True)) == truth
 
 
 def test_loop_free_formula_is_untouched():
     phi = fig2_formula()
     out = reduce_formula(phi)
-    loop_free = eliminate_self_loops(out.formula)
+    loop_free, g = eliminate_self_loops(out.formula)
     assert loop_free.parity is None and loop_free.formula == out.formula
+    assert g == build_multigraph(out.formula)
 
 
 def test_bisect_balance_and_determinism():
@@ -144,13 +249,12 @@ def test_bisect_exhaustive_matches_enumeration():
         out = reduce_formula(phi)
         if out.parity is not None:
             continue
-        loop_free = eliminate_self_loops(out.formula)
+        loop_free, g = eliminate_self_loops(out.formula)
         if loop_free.parity is not None:
             continue
         psi = loop_free.formula
         if psi.m3 < 2 or psi.m3 > 10 or any(len(c) not in (2, 3) for c in psi.clauses):
             continue
-        g = build_multigraph(psi)
         part = bisect_multigraph(g, seed=0)
         verts = sorted(g.vertices, key=clause_sort_key)
         best = None
@@ -175,6 +279,29 @@ def test_disconnected_components_get_cut_zero():
     part = bisect_multigraph(g, seed=1)
     assert part.balance <= 1
     assert len(part.cut) == 0
+
+
+def test_divide_restricts_the_multigraph_to_each_component(monkeypatch):
+    # two disjoint cubic edge covers: the rebisection cuts no edge, and the
+    # divide step hands each component the multigraph restricted to its
+    # 3-clauses instead of building it again
+    rng = random.Random(5)
+    left, right = cubic_edge_cover(rng, 8), cubic_edge_cover(rng, 8)
+    shifted = [tuple(l + left.n for l in c) for c in right.clauses]
+    phi = Formula(range(1, left.n + right.n + 1), list(left.clauses) + shifted)
+    calls = []
+    solve = occ2.bisection_solve
+
+    def recorded(psi, g, *args):
+        calls.append((psi, g))
+        return solve(psi, g, *args)
+
+    monkeypatch.setattr(occ2, "bisection_solve", recorded)
+    sink = io.StringIO()
+    parity = solve_occ2(phi, Telemetry(sink=sink, strict=True), Occ2Config(n_eps=4))
+    assert parity == brute_parity(phi)
+    assert any(r["kind"] == "divide" for r in records(sink))
+    assert len(calls) > 2 and all(g == build_multigraph(psi) for psi, g in calls)
 
 
 def test_fig2_solve_matches_oracle():
