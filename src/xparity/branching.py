@@ -93,9 +93,9 @@ def variable_branch(phi: Formula, x: int) -> BranchSet:
         # free of lit; with the check above, lits has no complementary pair
         lits = frozenset(side) | {-lit}
         vs = {abs(l) for l in lits}
-        kept, touched = _split(phi, vs)
+        idxs, touched = _split(phi, vs)
         touched += [s for _, s in items[:i]]
-        children.append(Formula._derive(phi.variables - vs, kept, _falsified(touched, lits)))
+        children.append(Formula._derive(phi.variables - vs, phi, idxs, _falsified(touched, lits)))
     return BranchSet(
         children=children,
         labels=[f"first falsified side {i}" for i in range(len(items))],

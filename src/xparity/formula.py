@@ -7,7 +7,10 @@ is a set of clauses over an explicit variable set that may contain variables
 occurring in no clause (those carry parity meaning: a free variable doubles
 the model count).
 
-Every transform returns a fresh formula; nothing here mutates.
+Every transform returns a fresh formula; nothing here mutates.  Each one
+is built by ``Formula._derive`` from its parent: the clauses it keeps come
+with the sort keys and literal sets the parent already holds, and only the
+clauses it adds get new ones.
 """
 
 from __future__ import annotations
@@ -49,17 +52,26 @@ class Formula:
     """Immutable CNF formula over an explicit variable set.
 
     The clause collection has set semantics: duplicate clauses collapse on
-    construction.  An occurrence index (variable -> list of (clause index,
-    literal)) is built eagerly; it is the backbone of the reduction rules.
+    construction.  Two tuples run parallel to ``clauses``: ``keys`` holds
+    each clause's ``clause_sort_key`` and ``sets`` its literals as a
+    frozenset; a derived formula shares them with its parent for every
+    clause it keeps.  An occurrence index (variable -> list of (clause
+    index, literal)) is built eagerly; it is the backbone of the reduction
+    rules.  Like the hash, the split into clause components
+    (``reducer.clause_components``) is filled in on first use.
     """
 
-    __slots__ = ("variables", "clauses", "occ", "_hash")
+    __slots__ = ("variables", "clauses", "keys", "sets", "occ", "_hash", "_components")
 
     def __init__(self, variables: Iterable[int], clauses: Iterable[Iterable[Literal]]):
-        # dedupe, then sort for deterministic iteration and hashing
-        canon = sorted({canonical_clause(c) for c in clauses}, key=clause_sort_key)
+        # dedupe, then sort once on the decorated keys for deterministic
+        # iteration and hashing; the keys are injective, so no two tie
+        decorated = sorted({(clause_sort_key(c), c) for c in map(canonical_clause, clauses)})
+        object.__setattr__(self, "keys", tuple(k for k, _ in decorated))
+        object.__setattr__(self, "clauses", tuple(c for _, c in decorated))
+        object.__setattr__(self, "sets", tuple(map(frozenset, self.clauses)))
         vs = frozenset(variables)
-        built = Formula._derive(vs, canon)
+        built = Formula._derive(vs, self)
         stray = built.occ.keys() - vs
         if stray:
             lit = built.occ[min(stray)][0][1]
@@ -127,28 +139,43 @@ class Formula:
     # -- internal fast path ------------------------------------------------
 
     @classmethod
-    def _derive(cls, variables: frozenset, kept, added=()) -> "Formula":
-        """Build from ``kept``, an ordered, duplicate-free subsequence of
-        some formula's clauses, plus the canonical clauses ``added``.
+    def _derive(cls, variables: frozenset, parent: "Formula", drop=(), added=()) -> "Formula":
+        """Build from ``parent``'s clauses less those at the ascending
+        indices ``drop``, plus the canonical clauses ``added``.
 
-        Each added clause is placed by binary search and dropped when it is
-        already present (``clause_sort_key`` is injective), so a transform
-        that rewrites ``a`` clauses costs O(L + a log m) instead of a re-sort.
+        Kept clauses bring their key and literal set along; each added
+        clause gets its own, is placed by binary search on the keys and is
+        dropped when already present (``clause_sort_key`` is injective).
+        So a transform that rewrites ``a`` clauses costs O(L) for ``occ``
+        plus one key and one frozenset per added clause, not a re-sort.
         """
         self = object.__new__(cls)
-        clauses = list(kept)
+        clauses, keys, sets = [], [], []
+        start = 0
+        for stop in (*drop, len(parent.clauses)):
+            if start < stop:
+                clauses += parent.clauses[start:stop]
+                keys += parent.keys[start:stop]
+                sets += parent.sets[start:stop]
+            start = stop + 1
         for clause in added:
-            i = bisect_left(clauses, clause_sort_key(clause), key=clause_sort_key)
-            if i == len(clauses) or clauses[i] != clause:
+            key = clause_sort_key(clause)
+            i = bisect_left(keys, key)
+            if i == len(keys) or keys[i] != key:
                 clauses.insert(i, clause)
+                keys.insert(i, key)
+                sets.insert(i, frozenset(clause))
         occ: dict[int, list] = {}
         for idx, clause in enumerate(clauses):
             for lit in clause:
                 occ.setdefault(lit if lit > 0 else -lit, []).append((idx, lit))
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "clauses", tuple(clauses))
+        object.__setattr__(self, "keys", tuple(keys))
+        object.__setattr__(self, "sets", tuple(sets))
         object.__setattr__(self, "occ", occ)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_components", None)
         return self
 
 
@@ -156,18 +183,11 @@ class Formula:
 
 
 def _split(phi: Formula, vs) -> tuple[list, list]:
-    """(the clauses with no variable of vs, those with one), each in
-    clause order."""
+    """(the ascending indices of the clauses with a variable of vs, those
+    clauses)."""
     occ = phi.occ
     idxs = sorted({idx for v in vs for idx, _ in occ.get(v, ())})
-    clauses = phi.clauses
-    kept = []
-    start = 0
-    for idx in idxs:
-        kept += clauses[start:idx]
-        start = idx + 1
-    kept += clauses[start:]
-    return kept, [clauses[idx] for idx in idxs]
+    return idxs, [phi.clauses[idx] for idx in idxs]
 
 
 def assign_literal(phi: Formula, lit: Literal) -> Formula:
@@ -177,9 +197,9 @@ def assign_literal(phi: Formula, lit: Literal) -> Formula:
     if v not in phi.variables:
         raise ValueError(f"variable {v} not in formula")
     nlit = -lit
-    kept, touched = _split(phi, (v,))
+    idxs, touched = _split(phi, (v,))
     added = [tuple(l for l in c if l != nlit) for c in touched if lit not in c]
-    return Formula._derive(phi.variables - {v}, kept, added)
+    return Formula._derive(phi.variables - {v}, phi, idxs, added)
 
 
 def _falsified(clauses, lits) -> list:
@@ -204,17 +224,17 @@ def falsify_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
     missing = sorted(vs - phi.variables)
     if missing:
         raise ValueError(f"variable {missing[0]} of the clause is not assignable")
-    kept, touched = _split(phi, vs)
-    return Formula._derive(phi.variables - vs, kept, _falsified(touched, lits))
+    idxs, touched = _split(phi, vs)
+    return Formula._derive(phi.variables - vs, phi, idxs, _falsified(touched, lits))
 
 
 def remove_clause(phi: Formula, clause: Iterable[Literal]) -> Formula:
     """Drop one clause; the variable set is unchanged."""
-    c = canonical_clause(clause)
-    if c not in phi.clauses:
+    key = clause_sort_key(canonical_clause(clause))
+    i = bisect_left(phi.keys, key)
+    if i == phi.m or phi.keys[i] != key:
         raise ValueError("clause not present")
-    i = phi.clauses.index(c)
-    return Formula._derive(phi.variables, phi.clauses[:i] + phi.clauses[i + 1 :])
+    return Formula._derive(phi.variables, phi, (i,))
 
 
 def merge_variables(phi: Formula, x: int, lit: Literal) -> Formula:
@@ -226,21 +246,21 @@ def merge_variables(phi: Formula, x: int, lit: Literal) -> Formula:
         raise ValueError("cannot merge a variable with itself")
     if x not in phi.variables or v not in phi.variables:
         raise ValueError("both variables must be present")
-    kept, touched = _split(phi, (x,))
+    idxs, touched = _split(phi, (x,))
     added = [
         canonical_clause(lit if l == x else (-lit if l == -x else l) for l in c)
         for c in touched
     ]
-    return Formula._derive(phi.variables - {x}, kept, added)
+    return Formula._derive(phi.variables - {x}, phi, idxs, added)
 
 
 def flip_variable(phi: Formula, x: int) -> Formula:
     """Swap the polarities of x everywhere; a bijection on models."""
     if x not in phi.variables:
         raise ValueError(f"variable {x} not in formula")
-    kept, touched = _split(phi, (x,))
+    idxs, touched = _split(phi, (x,))
     added = [canonical_clause(-l if abs(l) == x else l for l in c) for c in touched]
-    return Formula._derive(phi.variables, kept, added)
+    return Formula._derive(phi.variables, phi, idxs, added)
 
 
 def remove_variable(phi: Formula, x: int) -> Formula:
@@ -248,6 +268,6 @@ def remove_variable(phi: Formula, x: int) -> Formula:
     (twin elimination)."""
     if x not in phi.variables:
         raise ValueError(f"variable {x} not in formula")
-    kept, touched = _split(phi, (x,))
+    idxs, touched = _split(phi, (x,))
     added = [tuple(l for l in c if abs(l) != x) for c in touched]
-    return Formula._derive(phi.variables - {x}, kept, added)
+    return Formula._derive(phi.variables - {x}, phi, idxs, added)

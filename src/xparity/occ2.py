@@ -364,17 +364,19 @@ def _prepare(psi: Formula, tel: Telemetry, depth: int):
     if out.parity is not None:
         return out.parity, None
     psi = out.formula
+    comps = clause_components(psi)
     cores = []
-    for comp in clause_components(psi):
-        sub = subformula(psi, comp)
-        if sub.m3 == 0:
-            tel.leaf(depth, "occ2.2cnf-peel")
-            if _break_cycle(sub) == 0:
-                return 0, None
-        else:
+    for comp in comps:
+        if any(len(psi.clauses[i]) == 3 for i in comp):
             cores.append(comp)
+        else:
+            tel.leaf(depth, "occ2.2cnf-peel")
+            if _break_cycle(subformula(psi, comp)) == 0:
+                return 0, None
     if not cores:
         return 1, None
+    if len(cores) == len(comps):
+        return None, (psi, g)
     return None, (subformula(psi, [i for comp in cores for i in comp]), g)
 
 

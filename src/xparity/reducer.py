@@ -20,6 +20,13 @@ lacks are fresh.  R1 looks at the first clause, where an empty one
 sorts; R6-R13 depend on occurrence counts and connectivity and always
 scan in full.
 
+R2, R3, R4, R8, R10 and R11 read the literal sets the formula keeps
+beside its clauses instead of building one per clause and check, and
+every firing derives its result from the formula it fired on
+(``Formula._derive``).  R12's split into components is kept on the
+formula, so a solver that splits a formula the reducer returned reuses
+it, and R12 derives a subformula only for a component within the cap.
+
 Rule summary (ids follow the priority order):
   R1  empty clause present            -> parity 0
   R2  duplicated literal in a clause  -> drop copies
@@ -78,10 +85,6 @@ class ReductionOutcome:
         return 1 if self.formula.is_empty() else None
 
 
-def _clause_sets(phi: Formula):
-    return [frozenset(c) for c in phi.clauses]
-
-
 def _holding(phi: Formula, lit: int) -> list:
     """Ascending indices of the clauses holding lit, once per copy."""
     return [cidx for cidx, l in phi.occ.get(var_of(lit), ()) if l == lit]
@@ -99,10 +102,6 @@ def _scoped(phi: Formula, scope):
     return ((k, phi.clauses[k]) for k in scope)
 
 
-def _without(phi: Formula, k: int) -> tuple:
-    return phi.clauses[:k] + phi.clauses[k + 1 :]
-
-
 def _r1(phi: Formula):
     if phi.has_empty_clause():
         return ("verdict", "empty clause")
@@ -111,26 +110,27 @@ def _r1(phi: Formula):
 
 def _r2(phi: Formula, scope=None):
     for k, clause in _scoped(phi, scope):
-        if len(set(clause)) != len(clause):
+        if len(phi.sets[k]) != len(clause):
             cleaned = tuple(dict.fromkeys(clause))
-            out = Formula._derive(phi.variables, _without(phi, k), (cleaned,))
+            out = Formula._derive(phi.variables, phi, (k,), (cleaned,))
             return ("changed", out, f"dedup {clause}")
     return None
 
 
 def _r3(phi: Formula, scope=None):
     for k, clause in _scoped(phi, scope):
-        s = set(clause)
+        s = phi.sets[k]
         if any(-l in s for l in s):
-            out = Formula._derive(phi.variables, _without(phi, k))
+            out = Formula._derive(phi.variables, phi, (k,))
             return ("changed", out, f"tautology {clause}")
     return None
 
 
-def _first_superset(phi: Formula, sets, i: int):
+def _first_superset(phi: Formula, i: int):
     # A superset of clause i occurs in the occurrence list of each variable
     # of clause i, so scanning the shortest such list (ascending clause
     # index) finds the smallest j.
+    sets = phi.sets
     s = sets[i]
     scan = min([phi.occ[var_of(l)] for l in s], key=len) if s else enumerate(sets)
     for j, _ in scan:
@@ -144,16 +144,10 @@ def _r4(phi: Formula, scope=None):
     of clause j, over the pairs with i or j in the scope; drop clause j.
     In the production order R1 has ruled out an empty clause before a
     scope is given; a rule order that runs R4 first scans in full."""
-    if scope is None or phi.has_empty_clause():
-        sets = _clause_sets(phi)
-    else:
-        # a clause compared with a non-empty scope clause shares a variable
-        # with it, so only those clauses need a set
-        near = {j for i in scope for l in phi.clauses[i] for j, _ in phi.occ[var_of(l)]}
-        sets = {j: frozenset(phi.clauses[j]) for j in near}
+    sets = phi.sets
     pairs = []
     for i, _ in _scoped(phi, scope):
-        j = _first_superset(phi, sets, i)
+        j = _first_superset(phi, i)
         if j is not None:
             pairs.append((i, j))
             break
@@ -169,7 +163,7 @@ def _r4(phi: Formula, scope=None):
     i, j = min(pairs)
     return (
         "changed",
-        Formula._derive(phi.variables, _without(phi, j)),
+        Formula._derive(phi.variables, phi, (j,)),
         f"{phi.clauses[i]} subsumes {phi.clauses[j]}",
     )
 
@@ -205,9 +199,7 @@ def _r8(phi: Formula):
         occs = phi.occ.get(v, ())
         if not occs:
             continue
-        common = set.intersection(*(set(phi.clauses[cidx]) for cidx, _ in occs))
-        common.discard(v)
-        common.discard(-v)
+        common = frozenset.intersection(*(phi.sets[cidx] for cidx, _ in occs)) - {v, -v}
         if common:
             lit = min(common, key=lambda l: (abs(l), l < 0))
             return ("changed", assign_literal(phi, -lit), f"{lit} dominates {v}: {lit}=0")
@@ -234,7 +226,7 @@ def _r9(phi: Formula):
 
 
 def _r10(phi: Formula):
-    clauses = phi.clauses
+    clauses, sets = phi.clauses, phi.sets
     for v in sorted(phi.occ):
         occs = phi.occ[v]
         first = occs[0][1]
@@ -244,7 +236,7 @@ def _r10(phi: Formula):
         # per copy, ascending
         rests = {v: [], -v: []}
         for cidx, lit in occs:
-            rests[lit].append((cidx, {l for l in clauses[cidx] if l != lit}))
+            rests[lit].append((cidx, sets[cidx] - {lit}))
         for lit in (v, -v):
             for ai, rest in rests[lit]:
                 for bi, other in rests[-lit]:
@@ -252,7 +244,7 @@ def _r10(phi: Formula):
                         rewritten = tuple(l for l in clauses[bi] if l != -lit)
                         return (
                             "changed",
-                            Formula._derive(phi.variables, _without(phi, bi), (rewritten,)),
+                            Formula._derive(phi.variables, phi, (bi,), (rewritten,)),
                             f"{clauses[ai]} resolves {-lit} out of {clauses[bi]}",
                         )
     return None
@@ -260,34 +252,47 @@ def _r10(phi: Formula):
 
 def _r11(phi: Formula):
     two = {}
-    for clause in phi.clauses:
+    for clause, lits in zip(phi.clauses, phi.sets):
         if len(clause) == 2:
             key = frozenset(var_of(l) for l in clause)
             if len(key) != 2:
                 continue  # duplicated variable, earlier rules handle it
             for other in two.get(key, ()):
-                if set(clause) == {-l for l in other}:
+                if lits == {-l for l in other}:
                     a, b = sorted(clause, key=lambda l: -abs(l))  # a has larger var
                     target = -b if a > 0 else b
                     merged = merge_variables(phi, var_of(a), target)
-                    cleaned = [
-                        c
-                        for c in merged.clauses
-                        if not any(-l in c for l in c)
+                    tautologies = [
+                        k for k, s in enumerate(merged.sets) if any(-l in s for l in s)
                     ]
                     return (
                         "changed",
-                        Formula._derive(merged.variables, cleaned),
+                        Formula._derive(merged.variables, merged, tautologies),
                         f"{clause} vs {other}: set var {var_of(a)} := literal {target}",
                     )
             two.setdefault(key, []).append(clause)
     return None
 
 
-def clause_components(phi: Formula, skip_var: int | None = None) -> list[list[int]]:
-    """Connected components of the clause-sharing graph, as sorted lists of
-    clause indices in order of their smallest index; adjacency through
-    skip_var is ignored when given."""
+def clause_components(phi: Formula, skip_var: int | None = None):
+    """Connected components of the clause-sharing graph, as ascending
+    sequences of clause indices in order of their smallest index.
+
+    Without skip_var the split is kept on the formula as a tuple of tuples,
+    so the rules and solvers that split one formula share one search.  With
+    skip_var, adjacency through that variable is ignored and a fresh list
+    of lists is returned."""
+    if skip_var is not None:
+        return _component_search(phi, skip_var)
+    comps = phi._components
+    if comps is None:
+        comps = tuple(map(tuple, _component_search(phi, None)))
+        object.__setattr__(phi, "_components", comps)
+    return comps
+
+
+def _component_search(phi: Formula, skip_var: int | None) -> list[list[int]]:
+    """The depth-first search behind ``clause_components``."""
     m = phi.m
     adj: list[set] = [set() for _ in range(m)]
     for v, occs in phi.occ.items():
@@ -318,27 +323,26 @@ def clause_components(phi: Formula, skip_var: int | None = None) -> list[list[in
 
 def subformula(phi: Formula, clause_idxs) -> Formula:
     """The clauses at the given indices over exactly their own variables."""
-    clauses = [phi.clauses[i] for i in sorted(set(clause_idxs))]
-    vs = frozenset(var_of(l) for c in clauses for l in c)
-    return Formula._derive(vs, clauses)
+    keep = set(clause_idxs)
+    vs = frozenset(var_of(l) for i in keep for l in phi.clauses[i])
+    return Formula._derive(vs, phi, [i for i in range(phi.m) if i not in keep])
 
 
 def _r12(phi: Formula):
     comps = clause_components(phi)
     if len(comps) < 2:
         return None
+    clauses = phi.clauses
     for comp in comps:
-        sub = subformula(phi, comp)
-        if sub.n <= SUBFORMULA_VAR_CAP:
-            p = brute_parity(sub)
-            if p == 0:
-                return ("verdict", f"isolated subformula {comp} has even parity")
-            gone = set(comp)
-            keep = [c for i, c in enumerate(phi.clauses) if i not in gone]
+        # count first: only a component within the cap is worth deriving
+        vs = {var_of(l) for i in comp for l in clauses[i]}
+        if len(vs) <= SUBFORMULA_VAR_CAP:
+            if brute_parity(subformula(phi, comp)) == 0:
+                return ("verdict", f"isolated subformula {list(comp)} has even parity")
             return (
                 "changed",
-                Formula._derive(phi.variables - sub.variables, keep),
-                f"isolated subformula {comp}, parity 1, removed",
+                Formula._derive(phi.variables - vs, phi, comp),
+                f"isolated subformula {list(comp)}, parity 1, removed",
             )
     return None
 
@@ -436,9 +440,7 @@ def remove_hinged_side(phi: Formula, idxs, side: Formula, hinge: int, p0: int, p
     subformula, except ``hinge``; p0 and p1 are the side's parities with the
     hinge false and true, not both even.  When they differ the odd value is
     forced; when both are odd the hinge stays unassigned."""
-    gone = set(idxs)
-    keep = [c for i, c in enumerate(phi.clauses) if i not in gone]
-    rest = Formula._derive(phi.variables - (side.variables - {hinge}), keep)
+    rest = Formula._derive(phi.variables - (side.variables - {hinge}), phi, sorted(set(idxs)))
     if p0 != p1:
         rest = assign_literal(rest, hinge if p1 else -hinge)
     return rest
@@ -606,7 +608,7 @@ def check_reduced_properties(phi: Formula) -> PropertyReport:
     if short:
         witnesses["p2_all_clauses_2plus"] = short[0]
 
-    sets = _clause_sets(phi)
+    sets = phi.sets
     two_vars = {v for v in phi.variables if phi.degree(v) == 2}
     viol = None
     m = phi.m

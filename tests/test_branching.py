@@ -145,7 +145,7 @@ def two_step_variable_branch(phi, x):
             raise ValueError("side clause contains complementary literals; reduce first")
     children = []
     for i, (lit, side) in enumerate(items):
-        child = Formula._derive(phi.variables, phi.clauses, [s for _, s in items[:i]])
+        child = Formula._derive(phi.variables, phi, added=[s for _, s in items[:i]])
         children.append(falsify_clause(child, side + (-lit,)))
     return children
 

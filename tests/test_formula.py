@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xparity.branching import clause_branch, simple_branch, variable_branch
 from xparity.formula import (
     Formula,
     assign_literal,
@@ -14,7 +15,7 @@ from xparity.formula import (
     remove_variable,
 )
 from xparity.oracle import brute_count, brute_parity
-from xparity.reducer import subformula
+from xparity.reducer import _RULES, apply_rule, reduce_formula, subformula
 
 
 def F(nvars, *clauses):
@@ -244,6 +245,8 @@ def assert_same_formula(got, want):
     assert got.variables == want.variables
     assert got.clauses == want.clauses
     assert got.occ == want.occ
+    assert got.keys == want.keys == tuple(map(clause_sort_key, got.clauses))
+    assert got.sets == want.sets == tuple(map(frozenset, got.clauses))
     assert got.has_empty_clause() == any(len(c) == 0 for c in got.clauses)
 
 
@@ -291,3 +294,48 @@ def test_transforms_equal_canonicalizing_constructor(case):
     assert_same_formula(
         subformula(phi, idxs), Formula({abs(l) for c in picked for l in c}, picked)
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_and_moves())
+def test_every_derivation_matches_the_constructor(case):
+    """Every formula built while transforming, branching and reducing goes
+    through ``Formula._derive``; each one's keys and literal sets are those
+    of its clauses, and rebuilding it from scratch gives the same formula."""
+    phi, lit, x, y_lit, side, idxs = case
+    made = []
+    derive = Formula._derive.__func__
+
+    def attempt(build, *args):
+        try:
+            return build(*args)
+        except ValueError:  # out of order on a tautology: nothing derived
+            return None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            Formula,
+            "_derive",
+            classmethod(lambda cls, *a, **kw: made.append(derive(cls, *a, **kw)) or made[-1]),
+        )
+        assign_literal(phi, lit)
+        merge_variables(phi, x, y_lit)
+        flip_variable(phi, x)
+        remove_variable(phi, x)
+        falsify_clause(phi, side)
+        subformula(phi, idxs)
+        simple_branch(phi, x)
+        attempt(variable_branch, phi, x)
+        for i in idxs[:2]:
+            attempt(clause_branch, phi, phi.clauses[i])
+        for rule_id, _ in _RULES:
+            attempt(apply_rule, phi, rule_id)
+        out = reduce_formula(phi)
+        # children reduced from their parent's fixpoint take scoped firings
+        if out.parity is None and out.formula.variables:
+            psi = out.formula
+            for child in simple_branch(psi, min(psi.variables)).children:
+                reduce_formula(child, parent=psi)
+    assert made
+    for got in made:
+        assert_same_formula(got, Formula(got.variables, got.clauses))

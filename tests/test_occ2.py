@@ -411,3 +411,38 @@ def test_peeled_cycles_are_not_reduced_again(monkeypatch):
     )
     assert occ2._prepare(psi, Telemetry(), 0) == (1, None)
     assert calls == []
+
+
+def test_prepare_reuses_the_split_of_the_reduction_before_it(monkeypatch):
+    # the last fixpoint pass of every reduction splits its formula for R12;
+    # _prepare, the divide step and _base_solve read that split off the
+    # formula, so no formula is searched twice, and the _prepare after the
+    # root reduction searches none
+    from test_reducer_oracle import signed_cycles
+
+    from xparity import reducer
+
+    searched = []
+    search = reducer._component_search
+    monkeypatch.setattr(
+        reducer,
+        "_component_search",
+        lambda phi, skip: (skip is None and searched.append(phi)) or search(phi, skip),
+    )
+    in_prepare = []
+    prepare = occ2._prepare
+
+    def counted(psi, tel, depth):
+        before = len(searched)
+        result = prepare(psi, tel, depth)
+        in_prepare.append(len(searched) - before)
+        return result
+
+    monkeypatch.setattr(occ2, "_prepare", counted)
+    rng = random.Random(14)
+    for phi in (signed_cycles(rng, [20, 30, 40]), cubic_edge_cover(rng, 40)):
+        searched.clear()
+        truth = refcount.cnf_parity(phi.n, phi.clauses)
+        assert solve_occ2(phi, config=Occ2Config(n_eps=4)) == truth
+        assert len({id(psi) for psi in searched}) == len(searched)
+    assert len(in_prepare) > 2 and in_prepare[0] == 0

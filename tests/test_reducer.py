@@ -128,6 +128,23 @@ def test_r12_isolated_component():
     assert res[0] == "verdict"
 
 
+def test_r12_derives_nothing_when_every_component_is_above_the_cap(monkeypatch):
+    # two signed cycles of 11 and 12 variables: R12 counts their variables
+    # from the clauses and builds no subformula for either
+    from test_reducer_oracle import signed_cycles
+
+    phi = signed_cycles(random.Random(12), [11, 12])
+    derivations = []
+    derive = Formula._derive.__func__
+    monkeypatch.setattr(
+        Formula,
+        "_derive",
+        classmethod(lambda cls, *a, **kw: derivations.append(1) or derive(cls, *a, **kw)),
+    )
+    assert apply_rule(phi, "R12") is None
+    assert derivations == []
+
+
 def test_r13_semi_isolated():
     # clauses {1,2},{1,3} hinge on variable 1 against {1,4},{1,5}
     phi = Formula(
