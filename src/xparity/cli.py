@@ -65,7 +65,7 @@ def _run_solver(name: str, phi: Formula, tel: Telemetry, seed: int) -> int:
     if name == "length":
         return solve_length(phi, tel, Occ2Config(seed=seed))
     if name == "docc":
-        return solve_docc(phi, telemetry=tel)
+        return solve_docc(phi, tel, Occ2Config(seed=seed))
     if name == "positive-fib":
         return solve_positive_fib(phi, telemetry=tel)
     if name == "2cnf":

@@ -17,6 +17,7 @@ from typing import Iterator
 from .branching import clause_branch, settle_children, variable_branch
 from .formula import Formula, flip_variable
 from .length import solve_length
+from .occ2 import Occ2Config
 from .reducer import reduce_formula
 from .telemetry import Telemetry
 
@@ -141,13 +142,15 @@ def dual_formula(phi: Formula) -> Formula:
     )
 
 
-def solve_docc(phi: Formula, telemetry: Telemetry | None = None) -> int:
+def solve_docc(
+    phi: Formula, telemetry: Telemetry | None = None, config: Occ2Config | None = None
+) -> int:
     """Reduce to positive leaves, then settle each leaf as it is reached
     through the dual chain: models = primal hitting sets = dual set covers
     = dual hitting sets (mod 2), the last being the models of the dual
-    formula, counted by ``solve_length``."""
+    formula, counted by ``solve_length`` with ``config``."""
     tel = telemetry if telemetry is not None else Telemetry()
     parity = 0
     for leaf in reduce_to_positive(phi, tel):
-        parity ^= solve_length(dual_formula(leaf), tel)
+        parity ^= solve_length(dual_formula(leaf), tel, config)
     return parity

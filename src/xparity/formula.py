@@ -57,11 +57,12 @@ class Formula:
     frozenset; a derived formula shares them with its parent for every
     clause it keeps.  An occurrence index (variable -> list of (clause
     index, literal)) is built eagerly; it is the backbone of the reduction
-    rules.  Like the hash, the split into clause components
-    (``reducer.clause_components``) is filled in on first use.
+    rules.  Like the hash, the search of the variable-clause incidence
+    graph that gives the clause components and R13's hinge
+    (``reducer._incidence``) is filled in on first use.
     """
 
-    __slots__ = ("variables", "clauses", "keys", "sets", "occ", "_hash", "_components")
+    __slots__ = ("variables", "clauses", "keys", "sets", "occ", "_hash", "_incidence")
 
     def __init__(self, variables: Iterable[int], clauses: Iterable[Iterable[Literal]]):
         # dedupe, then sort once on the decorated keys for deterministic
@@ -175,7 +176,7 @@ class Formula:
         object.__setattr__(self, "sets", tuple(sets))
         object.__setattr__(self, "occ", occ)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_components", None)
+        object.__setattr__(self, "_incidence", None)
         return self
 
 

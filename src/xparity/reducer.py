@@ -23,9 +23,11 @@ scan in full.
 R2, R3, R4, R8, R10 and R11 read the literal sets the formula keeps
 beside its clauses instead of building one per clause and check, and
 every firing derives its result from the formula it fired on
-(``Formula._derive``).  R12's split into components is kept on the
-formula, so a solver that splits a formula the reducer returned reuses
-it, and R12 derives a subformula only for a component within the cap.
+(``Formula._derive``).  R12 and R13 read one search of the formula's
+incidence graph, kept on the formula: its components and R13's hinge
+with the side to settle.  So a pass that checks both searches once, a
+solver that splits a formula the reducer returned reuses the search, and
+only a component or side within the cap is derived as a subformula.
 
 Rule summary (ids follow the priority order):
   R1  empty clause present            -> parity 0
@@ -274,51 +276,99 @@ def _r11(phi: Formula):
     return None
 
 
-def clause_components(phi: Formula, skip_var: int | None = None):
+def clause_components(phi: Formula) -> tuple:
     """Connected components of the clause-sharing graph, as ascending
-    sequences of clause indices in order of their smallest index.
-
-    Without skip_var the split is kept on the formula as a tuple of tuples,
-    so the rules and solvers that split one formula share one search.  With
-    skip_var, adjacency through that variable is ignored and a fresh list
-    of lists is returned."""
-    if skip_var is not None:
-        return _component_search(phi, skip_var)
-    comps = phi._components
-    if comps is None:
-        comps = tuple(map(tuple, _component_search(phi, None)))
-        object.__setattr__(phi, "_components", comps)
-    return comps
+    tuples of clause indices in order of their smallest index."""
+    return _incidence(phi)[0]
 
 
-def _component_search(phi: Formula, skip_var: int | None) -> list[list[int]]:
-    """The depth-first search behind ``clause_components``."""
+def _incidence(phi: Formula) -> tuple:
+    """(components, hinge) from one iterative articulation-point DFS
+    (Hopcroft-Tarjan) over the variable-clause incidence graph, kept on
+    the formula so that R12, R13 and the solvers share one search.  Each
+    DFS tree, rooted at its smallest clause, gives a component.
+
+    hinge is R13's: None, or (x, side) with x the smallest cut variable
+    that separates a side of at most SUBFORMULA_VAR_CAP variables, x
+    included, and side the ascending clause indices of the first small side
+    in order of smallest clause.  A child subtree of x with low >= disc(x)
+    is a separated side; the rest of x's component, which holds the root,
+    is one more and comes first.
+    """
+    if phi._incidence is not None:
+        return phi._incidence
     m = phi.m
-    adj: list[set] = [set() for _ in range(m)]
-    for v, occs in phi.occ.items():
-        if v == skip_var:
+    variables = list(phi.occ)
+    vertex = {v: m + k for k, v in enumerate(variables)}
+    adj = [list({vertex[var_of(l)] for l in c}) for c in phi.clauses]
+    adj += [list({cidx for cidx, _ in phi.occ[v]}) for v in variables]
+    disc = [0] * len(adj)  # preorder position plus one; 0 = unvisited
+    low = [0] * len(adj)
+    end = [0] * len(adj)  # the subtree of u is order[disc[u] - 1 : end[u]]
+    nvars = [0] * len(adj)  # variables in the DFS subtree
+    order = []
+    seps = {}  # cut variable -> its separated child subtrees
+    cuts = []  # the keys of seps, in order of discovery
+    components = []
+    best = None  # (x, its vertex, its component, variables in the rest)
+    for root in range(m):
+        if disc[root]:
             continue
-        idxs = [cidx for cidx, _ in occs]
-        for a in idxs[1:]:
-            adj[idxs[0]].add(a)
-            adj[a].add(idxs[0])
-    seen = [False] * m
-    comps = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
+        first_cut = len(cuts)
+        order.append(root)
+        disc[root] = low[root] = len(order)
+        stack = [(root, iter(adj[root]))]
         while stack:
-            c = stack.pop()
-            comp.append(c)
-            for nb in adj[c]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
-        comps.append(sorted(comp))
-    return comps
+            u, it = stack[-1]
+            for w in it:
+                if not disc[w]:
+                    order.append(w)
+                    disc[w] = low[w] = len(order)
+                    if w >= m:
+                        nvars[w] = 1
+                    stack.append((w, iter(adj[w])))
+                    break
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
+            else:
+                stack.pop()
+                end[u] = len(order)
+                if stack:
+                    p = stack[-1][0]
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    nvars[p] += nvars[u]
+                    if low[u] >= disc[p] and p >= m:
+                        if p not in seps:
+                            cuts.append(p)
+                        seps.setdefault(p, []).append(u)
+        comp = tuple(sorted(v for v in order[disc[root] - 1 :] if v < m))
+        components.append(comp)
+        for w in cuts[first_cut:]:
+            x = variables[w - m]
+            if best is None or x < best[0]:
+                sizes = [nvars[c] for c in seps[w]]
+                rest = nvars[root] - sum(sizes)
+                if rest <= SUBFORMULA_VAR_CAP or min(sizes) < SUBFORMULA_VAR_CAP:
+                    best = (x, w, comp, rest)
+    hinge = None
+    if best is not None:
+        x, w, comp, rest = best
+        subtrees = [order[disc[c] - 1 : end[c]] for c in seps[w]]
+        if rest <= SUBFORMULA_VAR_CAP:
+            inside = {v for tree in subtrees for v in tree}
+            side = tuple(i for i in comp if i not in inside)
+        else:
+            # the sides are disjoint: the least sorted one has the least clause
+            side = min(
+                tuple(sorted(v for v in tree if v < m))
+                for c, tree in zip(seps[w], subtrees)
+                if nvars[c] < SUBFORMULA_VAR_CAP
+            )
+        hinge = (x, side)
+    found = (tuple(components), hinge)
+    object.__setattr__(phi, "_incidence", found)
+    return found
 
 
 def subformula(phi: Formula, clause_idxs) -> Formula:
@@ -347,87 +397,20 @@ def _r12(phi: Formula):
     return None
 
 
-def _smallest_hinge(phi: Formula) -> int | None:
-    """The smallest variable x at which R13 fires: x is a cut vertex of the
-    variable-clause incidence graph and some side it separates has, with
-    x, at most SUBFORMULA_VAR_CAP variables.
-
-    One iterative articulation-point DFS (Hopcroft-Tarjan) rooted at
-    clauses, so every variable is an inner vertex: a child subtree with
-    low >= disc(x) is a separated side, and the rest of x's component,
-    parent included, is one more side.
-    """
-    m = phi.m
-    variables = list(phi.occ)
-    vertex = {v: m + k for k, v in enumerate(variables)}
-    adj = [list({vertex[var_of(l)] for l in c}) for c in phi.clauses]
-    adj += [list({cidx for cidx, _ in phi.occ[v]}) for v in variables]
-    n_vertices = len(adj)
-    disc = [0] * n_vertices  # 0 = unvisited
-    low = [0] * n_vertices
-    nvars = [0] * n_vertices  # variables in the DFS subtree
-    split = [-1] * n_vertices  # variables in separated subtrees; -1: no cut
-    small = [False] * n_vertices  # some separated subtree is small
-    best = None
-    clock = 0
-    for root in range(m):
-        if disc[root]:
-            continue
-        clock += 1
-        disc[root] = low[root] = clock
-        stack = [(root, iter(adj[root]))]
-        component = []
-        while stack:
-            u, it = stack[-1]
-            for w in it:
-                if not disc[w]:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    if w >= m:
-                        nvars[w] = 1
-                        component.append(w)
-                    stack.append((w, iter(adj[w])))
-                    break
-                if disc[w] < low[u]:
-                    low[u] = disc[w]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[u] < low[p]:
-                        low[p] = low[u]
-                    nvars[p] += nvars[u]
-                    if low[u] >= disc[p]:
-                        split[p] = max(split[p], 0) + nvars[u]
-                        if nvars[u] < SUBFORMULA_VAR_CAP:
-                            small[p] = True
-        total = len(component)
-        for w in component:
-            if split[w] >= 0 and (small[w] or total - split[w] <= SUBFORMULA_VAR_CAP):
-                x = variables[w - m]
-                if best is None or x < best:
-                    best = x
-    return best
-
-
 def _r13(phi: Formula):
-    x = _smallest_hinge(phi)
-    if x is None:
+    hinge = _incidence(phi)[1]
+    if hinge is None:
         return None
-    x_clauses = {cidx for cidx, _ in phi.occ[x]}
-    for comp in clause_components(phi, skip_var=x):
-        if x_clauses.isdisjoint(comp):
-            continue
-        sub = subformula(phi, comp)
-        if sub.n <= SUBFORMULA_VAR_CAP:
-            break
-    else:
-        raise ReducerInvariantError(f"hinge {x} has no small side")
+    x, side = hinge
+    comp = list(side)
+    sub = subformula(phi, side)
+    if sub.n > SUBFORMULA_VAR_CAP:
+        raise ReducerInvariantError(f"hinge {x} has side {comp} of {sub.n} variables")
     p1 = brute_parity(assign_literal(sub, x))
     p0 = brute_parity(assign_literal(sub, -x))
     if p0 == 0 and p1 == 0:
         return ("verdict", f"hinged subformula {comp} even for both values of {x}")
-    rest = remove_hinged_side(phi, comp, sub, x, p0, p1)
+    rest = remove_hinged_side(phi, side, sub, x, p0, p1)
     if p0 == p1:
         detail = f"hinged subformula {comp}: both parities odd, {x} kept"
     else:

@@ -11,7 +11,6 @@ branch, and a resolved branch has made all the progress there is.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -27,31 +26,22 @@ def _plain(value):
     return value
 
 
-@dataclass
-class LedgerEntry:
-    step: str
-    child: int
-    claimed: dict
-    observed: dict
-    passed: bool
-    resolved: bool = False
-    note: str = ""
+class Ledger:
+    """What the telemetry keeps of its ledger entries: a tally per step, in
+    order of first entry.  ``len`` is the number of entries filed; the
+    entries themselves are only streamed, so the ledger does not grow with
+    the search tree."""
 
-    def to_record(self) -> dict:
-        return {
-            "kind": "ledger",
-            "step": self.step,
-            "child": self.child,
-            "claimed": {k: _plain(v) for k, v in self.claimed.items()},
-            "observed": {k: _plain(v) for k, v in self.observed.items()},
-            "passed": self.passed,
-            "resolved": self.resolved,
-            "note": self.note,
-        }
+    def __init__(self):
+        self.steps: dict[str, dict] = {}
+        self.entries = 0
+
+    def __len__(self) -> int:
+        return self.entries
 
 
 class Telemetry:
-    """Collects counters and ledger entries, and streams JSONL records.
+    """Keeps counters and ledger tallies, and streams JSONL records.
 
     strict=True raises LedgerViolation on any failed, non-exempt entry;
     solvers run strict by default because a violation means either an
@@ -65,7 +55,7 @@ class Telemetry:
         self.nodes = 0
         self.leaves = 0
         self.max_depth = 0
-        self.ledger: list[LedgerEntry] = []
+        self.ledger = Ledger()
         self.violations = 0
 
     # -- counters ------------------------------------------------------------
@@ -92,16 +82,31 @@ class Telemetry:
         resolved: bool = False,
         note: str = "",
     ):
-        entry = LedgerEntry(step, child, claimed, observed, passed, resolved, note)
-        self.ledger.append(entry)
-        self.event(entry.to_record())
+        self.ledger.entries += 1
+        slot = self.ledger.steps.setdefault(
+            step, {"entries": 0, "passed": 0, "resolved": 0, "failed": 0}
+        )
+        slot["entries"] += 1
+        slot["resolved" if resolved else "passed" if passed else "failed"] += 1
+        if self.sink is not None:
+            self.event(
+                {
+                    "kind": "ledger",
+                    "step": step,
+                    "child": child,
+                    "claimed": {k: _plain(v) for k, v in claimed.items()},
+                    "observed": {k: _plain(v) for k, v in observed.items()},
+                    "passed": passed,
+                    "resolved": resolved,
+                    "note": note,
+                }
+            )
         if not passed and not resolved:
             self.violations += 1
             if self.strict:
                 raise LedgerViolation(
                     f"{step} child {child}: claimed {claimed}, observed {observed} ({note})"
                 )
-        return entry
 
     def event(self, record: dict):
         """Stream one JSON-lines record to the sink, if there is one."""
@@ -111,16 +116,6 @@ class Telemetry:
     # -- summaries --------------------------------------------------------------
 
     def ledger_summary(self) -> dict:
-        by_step: dict[str, dict] = {}
-        for e in self.ledger:
-            slot = by_step.setdefault(
-                e.step, {"entries": 0, "passed": 0, "resolved": 0, "failed": 0}
-            )
-            slot["entries"] += 1
-            if e.resolved:
-                slot["resolved"] += 1
-            elif e.passed:
-                slot["passed"] += 1
-            else:
-                slot["failed"] += 1
-        return by_step
+        """{step: {"entries", "passed", "resolved", "failed"}}, in order of
+        each step's first entry."""
+        return {step: dict(slot) for step, slot in self.ledger.steps.items()}

@@ -205,3 +205,23 @@ def test_resource_exhaustion_is_one_error_line(tmp_path, capsys, monkeypatch, ex
     code, out, err = run(capsys, "solve", "--input", path)
     assert code == 1 and not out
     assert err.startswith(f"error: {exhausted.__name__}: ") and err.count("\n") == 1
+
+
+def test_seed_reaches_the_dual_solves_of_docc(tmp_path, capsys, monkeypatch):
+    # solve_docc hands the CLI's Occ2Config to every solve_length on a dual
+    from xparity import docc
+    from xparity.occ2 import Occ2Config
+
+    configs = []
+    solve_length = docc.solve_length
+
+    def recorder(phi, tel=None, config=None):
+        configs.append(config)
+        return solve_length(phi, tel, config)
+
+    monkeypatch.setattr(docc, "solve_length", recorder)
+    phi = gen_random_docc(16, 3, 2, 4, seed=0)
+    path = write_instance(tmp_path, phi)
+    code, out, _ = run(capsys, "solve", "--input", path, "--solver", "docc", "--seed", "7")
+    assert code == 0 and out.startswith(f"parity: {brute_parity(phi)}\n"), out
+    assert configs and all(c == Occ2Config(seed=7) for c in configs), configs

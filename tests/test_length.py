@@ -1,4 +1,8 @@
+import gc
+import io
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -172,20 +176,52 @@ def test_step5_shapes_ledger_clean():
         assert tel.violations == 0
 
 
+def retained_by_solve(phi: Formula) -> tuple[int, int]:
+    """(tree nodes, bytes still allocated once the solve returned and its
+    garbage is collected, with the Telemetry alive and no sink)."""
+    solve_length(phi)  # fills the oracle's bounded pattern cache first
+    tel = Telemetry()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        solve_length(phi, tel)
+        gc.collect()
+        return tel.nodes, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_telemetry_does_not_grow_with_the_tree():
+    # the ledger keeps per-step tallies and streams its entries, so a tree
+    # 14 times larger leaves nothing more behind
+    small_nodes, small = retained_by_solve(circulant_triples(28))
+    big_nodes, big = retained_by_solve(circulant_triples(44))
+    assert big_nodes >= 10 * small_nodes, (small_nodes, big_nodes)
+    assert big - small < 16 * 1024, (small, big)
+
+
 def test_step_ledger_claims_match_table():
     # the per-step claimed vectors appear in ledger entries and are honored
     seen = {}
     for seed in range(400):
         rng = random.Random(1000 + seed)
         phi = gen_random_docc(rng.randint(11, 17), rng.randint(3, 6), 2, 4, seed=seed)
-        tel = Telemetry(strict=True)
-        solve_length(phi, tel)
-        for e in tel.ledger:
-            if e.step.startswith("len.step") and "drop" in e.claimed:
-                seen.setdefault(e.step, 0)
-                seen[e.step] += 1
-                if not e.resolved:
-                    assert e.observed["drop"] >= e.claimed["drop"]
+        sink = io.StringIO()
+        solve_length(phi, Telemetry(sink, strict=True))
+        for line in sink.getvalue().splitlines():
+            e = json.loads(line)
+            if e["kind"] != "ledger":
+                continue
+            if e["step"].startswith("len.step") and "drop" in e["claimed"]:
+                seen.setdefault(e["step"], 0)
+                seen[e["step"]] += 1
+                if not e["resolved"]:
+                    # a Fraction streams as [numerator, denominator]
+                    observed, claimed = (
+                        Fraction(*v) if isinstance(v, list) else v
+                        for v in (e["observed"]["drop"], e["claimed"]["drop"])
+                    )
+                    assert observed >= claimed
     assert any(k.startswith("len.step") for k in seen)
 
 

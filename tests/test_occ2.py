@@ -423,11 +423,11 @@ def test_prepare_reuses_the_split_of_the_reduction_before_it(monkeypatch):
     from xparity import reducer
 
     searched = []
-    search = reducer._component_search
+    search = reducer._incidence
     monkeypatch.setattr(
         reducer,
-        "_component_search",
-        lambda phi, skip: (skip is None and searched.append(phi)) or search(phi, skip),
+        "_incidence",
+        lambda phi: (phi._incidence is None and searched.append(phi)) or search(phi),
     )
     in_prepare = []
     prepare = occ2._prepare

@@ -387,3 +387,32 @@ def test_r13_forces_the_even_hinge_value():
     assert 2 not in got.variables  # the hinged part was removed
     assert got == Formula([3, 4], [[3, 4]])
     assert brute_parity(got) == brute_parity(phi)
+
+
+def test_a_pass_checking_r12_and_r13_searches_its_formula_once(monkeypatch):
+    # R12 and R13 read the components and the hinge off one search of the
+    # incidence graph, kept on the formula: a formula at the fixpoint is
+    # searched once, and a reduction in which R13 fires searches each
+    # formula it checks once
+    from test_reducer_oracle import signed_cycles
+
+    from xparity import reducer
+    from xparity.generators import gen_rule_trigger
+
+    searched = []
+    search = reducer._incidence
+    monkeypatch.setattr(
+        reducer,
+        "_incidence",
+        lambda phi: (phi._incidence is None and searched.append(phi)) or search(phi),
+    )
+    phi = signed_cycles(random.Random(3), [12, 16])
+    out = reduce_formula(phi)
+    assert out.trace == [] and searched == [phi]
+    fired = 0
+    for seed in range(20):
+        searched.clear()
+        out = reduce_formula(gen_rule_trigger("R13", seed))
+        fired += sum(rid == "R13" for rid, _ in out.trace)
+        assert len({id(psi) for psi in searched}) == len(searched)
+    assert fired >= 20, fired

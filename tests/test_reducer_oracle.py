@@ -1,6 +1,7 @@
 """The occurrence-list R4 and the articulation-point R13 against their
 naive definitions: all-pairs subsumption, and one clause-component pass
-per variable.
+per variable, by a search of its own that shares no code with the
+reducer's.
 
 Every formula is checked twice: the single rule application must return
 exactly what the naive rule returns, and the whole fixpoint run with
@@ -25,7 +26,6 @@ from xparity.oracle import SimpleGraph, brute_parity
 from xparity.reducer import (
     SUBFORMULA_VAR_CAP,
     apply_rule,
-    clause_components,
     is_fixpoint,
     reduce_formula,
     subformula,
@@ -50,14 +50,34 @@ def naive_r4(phi: Formula):
     return None
 
 
+def components_without(phi: Formula, x: int) -> list:
+    """The clause components of phi when clauses sharing only x do not
+    count as adjacent: ascending index lists, by smallest index."""
+    comps, seen = [], set()
+    for start in range(phi.m):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, todo = [], [start]
+        while todo:
+            i = todo.pop()
+            comp.append(i)
+            vs = {abs(l) for l in phi.clauses[i]} - {x}
+            for j in range(phi.m):
+                if j not in seen and vs & {abs(l) for l in phi.clauses[j]}:
+                    seen.add(j)
+                    todo.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
 def naive_r13(phi: Formula):
     for x in sorted(phi.variables):
         occs = phi.occ.get(x, ())
         if len(occs) < 2:
             continue
-        comps = clause_components(phi, skip_var=x)
         x_clauses = {cidx for cidx, _ in occs}
-        x_comps = [c for c in comps if x_clauses & set(c)]
+        x_comps = [c for c in components_without(phi, x) if x_clauses & set(c)]
         if len(x_comps) < 2:
             continue
         for comp in x_comps:
@@ -258,6 +278,44 @@ def test_r13_side_cap_boundary():
             assert got == naive_r13(phi)
             assert (got is not None) == fires, (small, small_first)
             check_against_naive(phi)
+
+
+def cycle(vs) -> list:
+    """2-clauses joining each literal of vs to the next, round to the first."""
+    return [[vs[i], vs[(i + 1) % len(vs)]] for i in range(len(vs))]
+
+
+def test_r13_settles_the_first_small_side():
+    # variable 1 is the only cut variable in each case; R13 settles the
+    # small side holding the least clause
+    cases = [
+        # the rest of the component, which holds clause 0, and the child
+        # side are both small: the rest comes first
+        (
+            Formula(range(1, 10), cycle([1, 2, 3, 4]) + cycle([1, 5, 6, 7, 8, 9])),
+            "hinged subformula [0, 1, 4, 5]: forced 1=1",
+        ),
+        # the rest has 12 variables; of the two small sides, the one of 7
+        # variables holds the lesser clause (1 -13)
+        (
+            Formula(
+                range(1, 22),
+                cycle(range(1, 13))
+                + cycle([1, -13, 14, 15, 16, 17, -18])
+                + cycle([-1, 19, -20, 21]),
+            ),
+            "hinged subformula [2, 3, 16, 17, 18, 19, 20]: forced 1=1",
+        ),
+        # a side of one clause
+        (
+            Formula(range(1, 15), cycle(range(1, 13)) + [[-1, -13, 14]]),
+            "hinged subformula [2]: forced 1=1",
+        ),
+    ]
+    for phi, detail in cases:
+        got = apply_rule(phi, "R13")
+        assert got == naive_r13(phi) and got[2] == detail, phi
+        check_against_naive(phi)
 
 
 # -- fresh-clause scopes ------------------------------------------------------
