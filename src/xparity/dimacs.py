@@ -30,7 +30,9 @@ def parse_dimacs(text: str) -> Formula:
     header_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break  # SATLIB's end marker, followed by a stray 0
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if nvars is not None:

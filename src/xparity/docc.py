@@ -66,7 +66,6 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Iter
     stack = [(out.formula, 0)]
     while stack:
         cur, depth = stack.pop()
-        # flipping renames variables, so the rules stay at their fixpoint
         cur, mixed = flip_negative_variables(cur)
         if not mixed:
             longest = max(map(len, cur.occ.values()), default=0)  # dual clause
@@ -82,7 +81,7 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Iter
 
         # an empty child is not settled here: it is a positive leaf
         def reduce(child):
-            out = reduce_formula(child, parent=cur)
+            out = reduce_formula(child)
             return out.verdict, out.formula
 
         def check(i, verdict, rest):

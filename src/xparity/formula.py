@@ -59,10 +59,11 @@ class Formula:
     index, literal)) is built eagerly; it is the backbone of the reduction
     rules.  Like the hash, the search of the variable-clause incidence
     graph that gives the clause components and R13's hinge
-    (``reducer._incidence``) is filled in on first use.
+    (``reducer._incidence``) is filled in on first use.  ``_base`` holds
+    the clauses of the last fixpoint in its ancestry (``reduce_formula``).
     """
 
-    __slots__ = ("variables", "clauses", "keys", "sets", "occ", "_hash", "_incidence")
+    __slots__ = ("variables", "clauses", "keys", "sets", "occ", "_hash", "_incidence", "_base")
 
     def __init__(self, variables: Iterable[int], clauses: Iterable[Iterable[Literal]]):
         # dedupe, then sort once on the decorated keys for deterministic
@@ -71,6 +72,7 @@ class Formula:
         object.__setattr__(self, "keys", tuple(k for k, _ in decorated))
         object.__setattr__(self, "clauses", tuple(c for _, c in decorated))
         object.__setattr__(self, "sets", tuple(map(frozenset, self.clauses)))
+        object.__setattr__(self, "_base", None)
         vs = frozenset(variables)
         built = Formula._derive(vs, self)
         stray = built.occ.keys() - vs
@@ -177,6 +179,7 @@ class Formula:
         object.__setattr__(self, "occ", occ)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_incidence", None)
+        object.__setattr__(self, "_base", parent._base)
         return self
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import occ2 as occ2_mod
 from .branching import clause_branch, settle_children, simple_branch, variable_branch
-from .formula import Formula, clause_sort_key, flip_variable, var_of
+from .formula import Formula, flip_variable, var_of
 from .occ2 import Occ2Config
 from .oracle import brute_parity
 from .reducer import SUBFORMULA_VAR_CAP, ReducerInvariantError, reduce_formula
@@ -182,13 +182,11 @@ def classify_step(phi: Formula) -> Step:
     three_vars = sorted(v for v, d in degrees.items() if d == 3)
 
     if three_vars:
-        candidates = [
-            c
-            for c in phi.clauses
-            if len(c) >= 4 and any(degrees[var_of(l)] == 3 for l in c)
-        ]
-        if candidates:
-            clause = min(candidates, key=clause_sort_key)
+        clause = next(  # clauses are stored sorted: the least such clause
+            (c for c in phi.clauses if len(c) >= 4 and any(degrees[var_of(l)] == 3 for l in c)),
+            None,
+        )
+        if clause is not None:
             x = min(var_of(l) for l in clause if degrees[var_of(l)] == 3)
             c2 = sum(1 for l in clause if var_of(l) != x and degrees[var_of(l)] == 2)
             drops = (4 * W2, 8 * W2) if c2 == 0 else (5 * W2, 5 * W2)
@@ -245,15 +243,15 @@ def _branch_for(step: Step):
     return simple_branch(step.formula, step.pivot)
 
 
-def _reduce_checked(phi: Formula, tel: Telemetry, parent: Formula | None = None):
-    """Reduce (from ``parent``'s fixpoint, see ``reduce_formula``) and
-    assert the measure never increased (and stays below the formula length,
-    which is what lets measure bounds speak about L).  Returns the parity
-    once settled, else None and the reduced formula with its measure."""
+def _reduce_checked(phi: Formula, tel: Telemetry):
+    """Reduce and assert the measure never increased (and stays below the
+    formula length, which is what lets measure bounds speak about L).
+    Returns the parity once settled, else None and the reduced formula
+    with its measure."""
     mu0 = measure_mu(phi)
     if mu0 > phi.length:
         raise ReducerInvariantError(f"mu {mu0} exceeds length {phi.length}")
-    out = reduce_formula(phi, parent=parent)
+    out = reduce_formula(phi)
     if out.formula is None:
         return out.parity, None
     mu1 = measure_mu(out.formula)
@@ -295,9 +293,8 @@ def _solve(psi: Formula, mu: Fraction, tel: Telemetry, depth: int, cfg: Occ2Conf
         claim, drop = step.claims[i], mu if rest is None else mu - rest[1]
         return claim, {"drop": drop}, drop >= claim["drop"], branch.labels[i]
 
-    # a flip is a renaming, so step.formula is at the fixpoint as psi is
     children = list(settle_children(
-        branch, lambda child: _reduce_checked(child, tel, step.formula),
+        branch, lambda child: _reduce_checked(child, tel),
         tel, depth, f"len.{step.kind}-settled", f"len.{step.kind}", check,
     ))
     if step.joint is not None and all(p is None for p, _ in children):

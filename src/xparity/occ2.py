@@ -55,8 +55,8 @@ class MultiEdge:
 @dataclass
 class ClauseMultigraph:
     """The smoothed dual graph: vertices are the 3-clauses, edges are direct
-    variable sharings or chains of 2-clauses.  Components made only of
-    2-clauses do not appear here."""
+    variable sharings or chains of 2-clauses, kept in ``MultiEdge.sort_key``
+    order.  Components made only of 2-clauses do not appear here."""
 
     vertices: frozenset
     edges: list
@@ -380,9 +380,9 @@ def _prepare(psi: Formula, tel: Telemetry, depth: int):
     return None, (subformula(psi, [i for comp in cores for i in comp]), g)
 
 
-def _reduced(child: Formula, parent: Formula):
-    """``settle_children``'s reduce for a branch child of ``parent``."""
-    out = reduce_formula(child, parent=parent)
+def _reduced(child: Formula):
+    """``settle_children``'s reduce for a branch child."""
+    out = reduce_formula(child)
     return out.parity, out.formula
 
 
@@ -401,12 +401,12 @@ def _base_solve(psi: Formula, tel: Telemetry, depth: int) -> int:
             if parity == 0:
                 return 0
         return parity
-    pivot = min((c for c in psi.clauses if len(c) == 3), key=clause_sort_key)
+    pivot = next(c for c in psi.clauses if len(c) == 3)  # the least 3-clause
     tel.node(depth, "occ2.base-branch", {"pivot": list(pivot)})
     branch = clause_branch(psi, pivot)
     leaf = ("occ2.verdict", "occ2.empty")
     parity = 0
-    for p, rest in settle_children(branch, lambda c: _reduced(c, psi), tel, depth, leaf):
+    for p, rest in settle_children(branch, _reduced, tel, depth, leaf):
         parity ^= _base_solve(rest, tel, depth + 1) if p is None else p
     return parity
 
@@ -424,8 +424,8 @@ def bisection_solve(
 ) -> int:
     """The bisection-guided solver: maintains a disjoint partition (a, b) of
     the 3-clauses and branches on endpoints of partition-crossing edges of
-    g, phi's multigraph, alternating sides level by level.  phi must be at
-    the reducer's fixpoint: its branch children are reduced from there."""
+    g, phi's multigraph, alternating sides level by level; phi is at the
+    reducer's fixpoint."""
     if not a and b:
         # relabel the sides; last_side names the parent's side, so it
         # follows the relabelling and the alternation check stays valid
@@ -483,7 +483,7 @@ def bisection_solve(
                 return 0
         return parity
 
-    edge = min(s, key=MultiEdge.sort_key)
+    edge = s[0]  # the least crossing edge: s keeps g's edge order
     side_set, side_name = (b, "B") if pick_from_b else (a, "A")
     pivot = edge.u if edge.u in side_set else edge.v
     if pivot not in side_set:
@@ -501,7 +501,7 @@ def bisection_solve(
 
     def reduce(child):
         # a surviving child's core, with its sides, multigraph and cut
-        out = reduce_formula(child, parent=phi)
+        out = reduce_formula(child)
         if out.parity is not None:
             return out.parity, None
         parity, prepared = _prepare(out.formula, tel, depth + 1)
@@ -541,8 +541,7 @@ def bisection_solve(
 
 
 def _branch_4plus(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> int:
-    longest = max(len(c) for c in psi.clauses)
-    pivot = min((c for c in psi.clauses if len(c) == longest), key=clause_sort_key)
+    pivot = max(psi.clauses, key=len)  # max keeps the first: the least longest clause
     pvars = {var_of(l) for l in pivot}
     neighbor_idx = sorted(
         {
@@ -576,7 +575,7 @@ def _branch_4plus(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> 
         return claims[i], {"dm": dm, "dn": dn, "n2_neighbors": n2}, passed, note
 
     children = list(settle_children(
-        clause_branch(psi, pivot), lambda c: _reduced(c, psi), tel, depth,
+        clause_branch(psi, pivot), _reduced, tel, depth,
         "occ2.resolved", "occ2.4plus", check,
     ))
     if all(p is None for p, _ in children):

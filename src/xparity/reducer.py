@@ -14,11 +14,11 @@ fresh clauses and pick the firing a full scan would.  A firing found on
 such a scope keeps it: every clause outside the scope was there before
 and is still inapplicable (an R4 firing only deletes a clause, an R5
 firing only adds fresh ones), so the next pass checks the scope's
-surviving clauses plus the fresh ones.  A branch child starts scoped the
-same way: against a parent at the fixpoint, only the clauses the parent
-lacks are fresh.  R1 looks at the first clause, where an empty one
-sorts; R6-R13 depend on occurrence counts and connectivity and always
-scan in full.
+surviving clauses plus the fresh ones.  A formula derived from a
+fixpoint starts scoped the same way: only the clauses that fixpoint lacks
+(``Formula._base``) are fresh.  R1 looks at the first clause, where an
+empty one sorts; R6-R13 depend on occurrence counts and connectivity and
+always scan in full.
 
 R2, R3, R4, R8, R10 and R11 read the literal sets the formula keeps
 beside its clauses instead of building one per clause and check, and
@@ -458,7 +458,7 @@ def apply_rule(phi: Formula, rule_id: str):
     return _RULE_BY_ID[rule_id](phi)
 
 
-def reduce_formula(phi: Formula, parent: Formula | None = None) -> ReductionOutcome:
+def reduce_formula(phi: Formula) -> ReductionOutcome:
     """Exhaustively apply the rules: the R(phi) of the analysis.
 
     Parity is preserved (or the verdict 0 is correct), and every step
@@ -469,21 +469,18 @@ def reduce_formula(phi: Formula, parent: Formula | None = None) -> ReductionOutc
     inapplicable (see the module docstring).  After a firing of a rule
     checked in full, the rules before it check only the fresh clauses.
     After a firing inside the scope, the scope carries over: its surviving
-    clauses plus the fresh ones.  ``parent``, when given, must be a
-    formula at the reducer's fixpoint, typically the one phi was branched
-    from; R2-R5 then start on the clauses of phi that parent lacks.  The
-    outcome is the one a call without ``parent`` returns.
+    clauses plus the fresh ones.  A phi derived from a fixpoint starts on
+    the clauses that fixpoint lacks, and a returned fixpoint records its
+    clauses in ``_base`` for the formulas derived from it.
     """
     trace = []
     potential = [(phi.n, phi.m, phi.length)]
     # rules at positions below ``known`` are known inapplicable outside the
     # clause indices ``scope``
-    if parent is None:
-        known, scope = 0, ()
-    else:
-        old = set(parent.clauses)
-        known = len(_RULES)
-        scope = [k for k, c in enumerate(phi.clauses) if c not in old]
+    known, scope = 0, ()
+    if phi._base is not None:
+        old = set(phi._base)
+        known, scope = len(_RULES), [k for k, c in enumerate(phi.clauses) if c not in old]
     while True:
         for r, (rule_id, fn) in enumerate(_RULES):
             scoped = r < known and fn in _CLAUSE_LOCAL
@@ -513,6 +510,7 @@ def reduce_formula(phi: Formula, parent: Formula | None = None) -> ReductionOutc
             phi = new_phi
             break
         else:
+            object.__setattr__(phi, "_base", phi.clauses)
             return ReductionOutcome(phi, None, trace, potential)
 
 

@@ -26,7 +26,7 @@ from xparity.reducer import ReducerInvariantError, reduce_formula
 def branch_and_reduce(sub: Formula) -> int:
     p = 0
     for child in clause_branch(sub, sub.clauses[0]).children:
-        res = reduce_formula(child, parent=sub)
+        res = reduce_formula(child)
         assert res.parity is not None, "breaking a cycle must leave reducible paths"
         p ^= res.parity
     return p

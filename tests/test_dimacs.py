@@ -26,6 +26,12 @@ def test_parse_comments_and_multiline_clauses():
     assert phi.m == 2
 
 
+def test_parse_stops_at_satlib_end_marker():
+    # SATLIB files end with "%" and then "0", which is not an empty clause
+    phi = parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n")
+    assert phi.variables == {1, 2, 3} and phi.clauses == ((1, -2, 3), (-1, 2))
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(DimacsError):
         parse_dimacs("1 2 0\n")

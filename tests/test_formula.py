@@ -331,11 +331,11 @@ def test_every_derivation_matches_the_constructor(case):
         for rule_id, _ in _RULES:
             attempt(apply_rule, phi, rule_id)
         out = reduce_formula(phi)
-        # children reduced from their parent's fixpoint take scoped firings
+        # children of a fixpoint start their reduction scoped
         if out.parity is None and out.formula.variables:
             psi = out.formula
             for child in simple_branch(psi, min(psi.variables)).children:
-                reduce_formula(child, parent=psi)
+                reduce_formula(child)
     assert made
     for got in made:
         assert_same_formula(got, Formula(got.variables, got.clauses))

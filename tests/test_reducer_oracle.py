@@ -438,20 +438,27 @@ def branch_children(phi: Formula) -> list:
     return kids
 
 
+def check_scoped_start(child: Formula):
+    """child descends from a fixpoint, so its reduction starts scoped; a
+    constructed copy has no fixpoint behind it and starts in full.  Both
+    give the same outcome."""
+    fresh = Formula(child.variables, child.clauses)
+    assert child._base is not None and fresh._base is None
+    assert outcome(reduce_formula(child)) == outcome(reduce_formula(fresh)), child
+
+
 def check_parent_start(psi: Formula) -> int:
-    """psi is at the fixpoint.  Each branch child of psi reduced from psi,
-    each flip of psi reduced from psi, and each branch child of a flip
-    reduced from that flip, as the solvers do, gives the outcome of a
-    reduction without a parent."""
-    pairs = [(psi, child) for child in branch_children(psi)]
+    """psi is at the fixpoint.  Each branch child of psi, each flip of psi
+    and each branch child of a flip, as the solvers reduce them, gives
+    the outcome of a reduction started in full."""
+    children = branch_children(psi)
     flips = [flip_variable(psi, v) for v in sorted(psi.occ)]
-    pairs += [(psi, flipped) for flipped in flips]
+    children += flips
     if flips:
-        pairs += [(flips[0], child) for child in branch_children(flips[0])]
-    for parent, child in pairs:
-        got = reduce_formula(child, parent=parent)
-        assert outcome(got) == outcome(reduce_formula(child)), (parent, child)
-    return len(pairs)
+        children += branch_children(flips[0])
+    for child in children:
+        check_scoped_start(child)
+    return len(children)
 
 
 @functools.cache
@@ -475,7 +482,33 @@ def test_parent_start_on_raw_grafts(data):
     psi = data.draw(st.sampled_from(family_fixpoints()))
     keep = data.draw(st.lists(st.booleans(), min_size=psi.m, max_size=psi.m))
     raw = data.draw(raw_formulas(max_n=max(psi.variables) + 2))
-    kept = [c for c, k in zip(psi.clauses, keep) if k]
-    child = Formula(psi.variables | raw.variables, kept + list(raw.clauses))
-    got = reduce_formula(child, parent=psi)
-    assert outcome(got) == outcome(reduce_formula(child)), (psi, child)
+    drop = [k for k, kept in enumerate(keep) if not kept]
+    check_scoped_start(Formula._derive(psi.variables | raw.variables, psi, drop, raw.clauses))
+
+
+def test_children_of_a_fixpoint_start_scoped(monkeypatch):
+    # the first R4 check of a reduction runs in full (scope None) unless
+    # the formula descends from a fixpoint the reducer returned
+    scopes = []
+
+    def r4(phi, scope=None):
+        scopes.append(scope)
+        return reducer._r4(phi, scope)
+
+    rules = tuple((rid, r4 if fn is reducer._r4 else fn) for rid, fn in reducer._RULES)
+    monkeypatch.setattr(reducer, "_RULES", rules)
+    monkeypatch.setattr(reducer, "_CLAUSE_LOCAL", reducer._CLAUSE_LOCAL | {r4})
+
+    def first_r4_scope(child):
+        del scopes[:]
+        out = reduce_formula(child)
+        assert not out.settled and scopes, child
+        return scopes[0]
+
+    phi = Formula(range(1, 7), [[1, 2, 3], [-1, 4, 5], [-2, -4, 6], [3, -5, -6],
+                                [-3, 4, 6], [1, -5, 6], [2, 5, -6], [-1, -2, -3]])
+    assert first_r4_scope(simple_branch(phi, 1).children[0]) is None
+    psi = reduce_formula(phi).formula
+    assert psi.clauses == phi.clauses and psi._base == psi.clauses
+    assert first_r4_scope(simple_branch(psi, 1).children[0]) is not None
+    assert first_r4_scope(simple_branch(flip_variable(psi, 1), 1).children[0]) is not None

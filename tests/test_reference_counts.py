@@ -1,6 +1,8 @@
-"""``solve_occ2`` against ``perfbench/refcount.py`` at the scale where its
-machinery runs, past the brute-force cap: long signed 2-CNF cycles, which
-the transfer-matrix walk settles, and cubic edge covers, which bisect.
+"""The solvers against ``perfbench/refcount.py`` at the scale where their
+machinery runs, past the brute-force cap: ``solve_occ2`` on long signed
+2-CNF cycles, which the transfer-matrix walk settles, and cubic edge
+covers, which bisect; ``solve_length`` and ``solve_docc`` on 36-52
+variable families that take ``solve_length`` through steps 1 to 5.2.
 
 refcount counts models modulo 2 by variable elimination over GF(2) and
 shares no code with the solvers; it is imported read-only from the
@@ -15,14 +17,19 @@ import pytest
 
 from test_cycle_walk import cycle_clauses
 from test_occ2 import cubic_edge_cover
+from xparity.docc import solve_docc
 from xparity.formula import Formula
+from xparity.generators import gen_random_docc
+from xparity.length import solve_length
 from xparity.occ2 import solve_occ2
 from xparity.telemetry import Telemetry
+from xparity.verify import circulant_triples, positive_3regular
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 )
 import refcount  # noqa: E402
+from workloads import regular_clauses  # noqa: E402
 
 
 def reference(phi: Formula) -> int:
@@ -71,3 +78,33 @@ def test_signed_cycle_sets(seed):
 def test_cubic_edge_covers(vertices, seed):
     phi = cubic_edge_cover(random.Random(seed), vertices)
     assert solve_occ2(phi, Telemetry(strict=True)) == reference(phi)
+
+
+def signed_4regular(seed: int) -> Formula:
+    return Formula(range(1, 37), regular_clauses(random.Random(seed), 36, 4, 3, True))
+
+
+# name -> (formula, the length step solve_length is to reach on it)
+LENGTH_CASES = {
+    **{f"circulant-{n}": (lambda n=n: circulant_triples(n), "step5_2") for n in range(40, 53)},
+    **{f"positive-3regular-42-{s}": (lambda s=s: positive_3regular(42, s), "step4")
+       for s in range(4)},
+    **{f"signed-4regular-36-{s}": (lambda s=s: signed_4regular(s), "step3_1") for s in range(4)},
+    **{f"random-docc-40-{s}": (lambda s=s: gen_random_docc(40, 3, 2, 4, seed=s), "step2")
+       for s in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", list(LENGTH_CASES))
+def test_solve_length(name):
+    make, step = LENGTH_CASES[name]
+    phi = make()
+    tel = Telemetry(strict=True)
+    assert solve_length(phi, tel) == reference(phi)
+    assert f"len.{step}" in tel.ledger.steps
+
+
+@pytest.mark.parametrize("name", list(LENGTH_CASES))
+def test_solve_docc(name):
+    phi = LENGTH_CASES[name][0]()
+    assert solve_docc(phi, Telemetry(strict=True)) == reference(phi)

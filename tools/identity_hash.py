@@ -44,8 +44,8 @@ def traced(xp: dict):
     traces = []
     original = xp["reducer"].reduce_formula
 
-    def reduce_formula(phi, parent=None):
-        out = original(phi, parent=parent)
+    def reduce_formula(*args, **kwargs):
+        out = original(*args, **kwargs)
         traces.append([[rule, str(detail)] for rule, detail in out.trace])
         return out
 
