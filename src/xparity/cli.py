@@ -107,7 +107,10 @@ def cmd_solve(args) -> int:
         f"solver: {solver}  n: {phi.n}  m: {phi.m}  L: {phi.length}  "
         f"nodes: {tel.nodes}  leaves: {tel.leaves}  depth: {tel.max_depth}"
     )
-    if args.explain:
+    if args.explain and solver in ("positive-fib", "brute"):
+        print(f"explain: solver {solver} runs no reduction")
+    elif args.explain:
+        # the other solvers all start with this same reduction of the input
         out = reduce_formula(phi)
         for rule, detail in out.trace:
             print(f"explain: {rule}: {detail}")
@@ -144,7 +147,7 @@ def _parse_graph(spec: str, seed: int) -> SimpleGraph:
         return SimpleGraph(range(1, n + 1), edges)
     if kind == "random":
         n_s, _, p_s = rest.partition(",")
-        return random_graph(int(n_s), float(p_s), seed, ensure_no_isolated=True)
+        return random_graph(int(n_s), float(p_s), seed)
     raise ValueError(f"unknown graph spec {spec!r}")
 
 

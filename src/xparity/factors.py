@@ -9,7 +9,7 @@ computed, which is all the desk-scale checks need.
 from __future__ import annotations
 
 
-def tau(*vector: float, tol: float = 1e-12) -> float:
+def tau(*vector: float) -> float:
     if not vector:
         raise ValueError("empty branching vector")
     if any(a <= 0 for a in vector):
@@ -25,7 +25,7 @@ def tau(*vector: float, tol: float = 1e-12) -> float:
         hi *= 2
     for _ in range(200):
         mid = (lo + hi) / 2
-        if hi - lo < tol:
+        if hi - lo < 1e-12:
             break
         if f(mid) > 0:
             lo = mid

@@ -57,13 +57,13 @@ class Formula:
     frozenset; a derived formula shares them with its parent for every
     clause it keeps.  An occurrence index (variable -> list of (clause
     index, literal)) is built eagerly; it is the backbone of the reduction
-    rules.  Like the hash, the search of the variable-clause incidence
-    graph that gives the clause components and R13's hinge
-    (``reducer._incidence``) is filled in on first use.  ``_base`` holds
-    the clauses of the last fixpoint in its ancestry (``reduce_formula``).
+    rules.  The search of the variable-clause incidence graph that gives
+    the clause components and R13's hinge (``reducer._incidence``) is
+    filled in on first use.  ``_base`` holds the clauses of the last
+    fixpoint in its ancestry (``reduce_formula``).
     """
 
-    __slots__ = ("variables", "clauses", "keys", "sets", "occ", "_hash", "_incidence", "_base")
+    __slots__ = ("variables", "clauses", "keys", "sets", "occ", "_incidence", "_base")
 
     def __init__(self, variables: Iterable[int], clauses: Iterable[Iterable[Literal]]):
         # dedupe, then sort once on the decorated keys for deterministic
@@ -129,11 +129,7 @@ class Formula:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.variables, self.clauses))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.variables, self.clauses))
 
     def __repr__(self) -> str:
         cls = ", ".join("(" + " ".join(str(l) for l in c) + ")" for c in self.clauses)
@@ -177,7 +173,6 @@ class Formula:
         object.__setattr__(self, "keys", tuple(keys))
         object.__setattr__(self, "sets", tuple(sets))
         object.__setattr__(self, "occ", occ)
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_incidence", None)
         object.__setattr__(self, "_base", parent._base)
         return self

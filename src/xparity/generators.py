@@ -61,10 +61,12 @@ def gen_random_docc(
     return Formula(range(1, n + 1), clauses)
 
 
-def random_graph(n: int, p: float, seed: int = 0, ensure_no_isolated: bool = False) -> SimpleGraph:
+def random_graph(n: int, p: float, seed: int = 0) -> SimpleGraph:
+    """G(n, p) on vertices 1..n; with n > 1, each vertex left isolated gets
+    one edge to a random other vertex."""
     rng = random.Random(seed)
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
-    if ensure_no_isolated and n > 1:
+    if n > 1:
         present = {x for e in edges for x in e}
         for v in range(1, n + 1):
             if v not in present:

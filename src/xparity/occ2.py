@@ -45,18 +45,13 @@ class MultiEdge:
     def is_loop(self) -> bool:
         return self.u == self.v
 
-    def sort_key(self):
-        ku, kv = clause_sort_key(self.u), clause_sort_key(self.v)
-        if kv < ku:
-            ku, kv = kv, ku
-        return (ku, kv, self.label)
-
 
 @dataclass
 class ClauseMultigraph:
     """The smoothed dual graph: vertices are the 3-clauses, edges are direct
-    variable sharings or chains of 2-clauses, kept in ``MultiEdge.sort_key``
-    order.  Components made only of 2-clauses do not appear here."""
+    variable sharings or chains of 2-clauses.  The edges are kept in order
+    of their endpoints' clause sort keys, the lesser first, then of their
+    labels.  Components made only of 2-clauses do not appear here."""
 
     vertices: frozenset
     edges: list
@@ -64,9 +59,6 @@ class ClauseMultigraph:
     @property
     def self_loops(self) -> list:
         return [e for e in self.edges if e.is_loop()]
-
-    def degree(self, v) -> int:
-        return sum((e.u == v) + (e.v == v) for e in self.edges)
 
 
 def check_occ2(phi: Formula):
@@ -110,7 +102,7 @@ def build_multigraph(phi: Formula) -> ClauseMultigraph:
     for v in phi.variables:
         if phi.degree(v) != 2:
             raise ContractViolation(f"variable {v} has degree {phi.degree(v)}; want exactly 2")
-    edges = []
+    keyed = []  # (sort key, edge); the keys are the formula's own
     seen_slots = set()
     for cidx in three:
         for v in sorted({var_of(l) for l in phi.clauses[cidx]}):
@@ -126,9 +118,10 @@ def build_multigraph(phi: Formula) -> ClauseMultigraph:
                 if not chain
                 else ("chain",) + tuple(phi.clauses[i] for i in chain)
             )
-            edges.append(MultiEdge(phi.clauses[cidx], phi.clauses[end_idx], label))
-    edges.sort(key=MultiEdge.sort_key)
-    return ClauseMultigraph(frozenset(phi.clauses[i] for i in three), edges)
+            key = (*sorted((phi.keys[cidx], phi.keys[end_idx])), label)
+            keyed.append((key, MultiEdge(phi.clauses[cidx], phi.clauses[end_idx], label)))
+    keyed.sort(key=lambda pair: pair[0])
+    return ClauseMultigraph(frozenset(phi.clauses[i] for i in three), [e for _, e in keyed])
 
 
 # -- polynomial 2-CNF ----------------------------------------------------------
@@ -263,31 +256,29 @@ def bisect_multigraph(graph: ClauseMultigraph, seed: int = 0) -> Partition:
     """Balanced partition of the multigraph vertices with a small cut:
     exhaustive on small graphs, Kernighan-Lin style local search with seeded
     restarts above.  Deterministic for a fixed seed; the cut size carries no
-    correctness weight, only running time."""
+    correctness weight, only running time.  Among equal cuts the side A
+    with the least ascending vertex indices wins; the vertices are in
+    clause order, so that is the least tuple of clause sort keys."""
     verts = sorted(graph.vertices, key=clause_sort_key)
     nv = len(verts)
     if nv < 2:
         raise ValueError("need at least two vertices to bisect")
     edges = [e for e in graph.edges if not e.is_loop()]
 
-    def finish(a_set):
-        a = frozenset(a_set)
+    def finish(a_idx):
+        a = frozenset(verts[i] for i in a_idx)
         b = frozenset(v for v in verts if v not in a)
-        in_a = {v: (v in a) for v in verts}
-        return Partition(a, b, [e for e in edges if in_a[e.u] != in_a[e.v]])
+        return Partition(a, b, crossing_edges(graph, a, b))
 
     if nv <= EXHAUSTIVE_BISECT_BELOW:
-        sizes = {(nv + 1) // 2, nv // 2}
         best = None
-        others = verts[1:]
-        for size in sorted(sizes):
-            for rest in itertools.combinations(others, size - 1):
-                a = frozenset((verts[0],) + rest)
-                in_a = {v: (v in a) for v in verts}
-                cut = _cut_size(edges, in_a)
-                key = (cut, tuple(sorted(map(clause_sort_key, a))))
-                if best is None or key < best[0]:
-                    best = (key, a)
+        for size in sorted({(nv + 1) // 2, nv // 2}):
+            for rest in itertools.combinations(range(1, nv), size - 1):
+                a = (0, *rest)
+                in_a = {v: i in a for i, v in enumerate(verts)}
+                key = (_cut_size(edges, in_a), a)
+                if best is None or key < best:
+                    best = key
         return finish(best[1])
 
     # Kernighan-Lin on vertex indices: swapping i in A with j in B lowers
@@ -330,10 +321,9 @@ def bisect_multigraph(graph: ClauseMultigraph, seed: int = 0) -> Partition:
             i, j = best_pair
             in_a[i], in_a[j] = False, True
             cut -= best_gain
-        a = frozenset(v for v, side in zip(verts, in_a) if side)
-        key = (cut, tuple(sorted(map(clause_sort_key, a))))
-        if best is None or key < best[0]:
-            best = (key, a)
+        key = (cut, tuple(i for i in range(nv) if in_a[i]))
+        if best is None or key < best:
+            best = key
     return finish(best[1])
 
 

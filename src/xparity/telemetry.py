@@ -56,7 +56,6 @@ class Telemetry:
         self.leaves = 0
         self.max_depth = 0
         self.ledger = Ledger()
-        self.violations = 0
 
     # -- counters ------------------------------------------------------------
 
@@ -101,12 +100,10 @@ class Telemetry:
                     "note": note,
                 }
             )
-        if not passed and not resolved:
-            self.violations += 1
-            if self.strict:
-                raise LedgerViolation(
-                    f"{step} child {child}: claimed {claimed}, observed {observed} ({note})"
-                )
+        if self.strict and not passed and not resolved:
+            raise LedgerViolation(
+                f"{step} child {child}: claimed {claimed}, observed {observed} ({note})"
+            )
 
     def event(self, record: dict):
         """Stream one JSON-lines record to the sink, if there is one."""

@@ -487,7 +487,7 @@ def criterion_7_parity_identities(quick: bool = False):
     sampled = 0
     for seed in range(_scale(1_000, quick)):
         rng = random.Random(50_000_000 + seed)
-        g = random_graph(rng.randint(2, 12), rng.uniform(0.2, 0.7), seed, ensure_no_isolated=True)
+        g = random_graph(rng.randint(2, 12), rng.uniform(0.2, 0.7), seed)
         if any(g.degree(v) == 0 for v in g.vertices):
             continue
         if not _cover_counts_agree(g):
@@ -524,7 +524,7 @@ def criterion_8_edge_cover_pipeline(quick: bool = False):
     while done < want:
         rng = random.Random(60_000_000 + seed)
         seed += 1
-        g = random_graph(rng.randint(2, 10), rng.uniform(0.25, 0.8), seed, ensure_no_isolated=True)
+        g = random_graph(rng.randint(2, 10), rng.uniform(0.25, 0.8), seed)
         if any(g.degree(v) == 0 for v in g.vertices):
             continue
         phi = gen_edge_cover_formula(g)

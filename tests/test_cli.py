@@ -86,6 +86,16 @@ def test_solve_explain_lists_rules(tmp_path, capsys):
     assert "explain: R" in out
 
 
+def test_solve_explain_names_no_reduction_for_unreducing_solvers(tmp_path, capsys):
+    # R7 would fire on this input, but these two solvers never reduce it
+    path = write_instance(tmp_path, parse_dimacs("p cnf 3 1\n1 2 3 0\n"))
+    for solver in ("positive-fib", "brute"):
+        code, out, _ = run(capsys, "solve", "--solver", solver, "--input", path, "--explain")
+        assert code == 0
+        explain = [line for line in out.splitlines() if line.startswith("explain:")]
+        assert explain == [f"explain: solver {solver} runs no reduction"]
+
+
 def test_solve_telemetry_stream(tmp_path, capsys):
     phi = gen_random_docc(14, 3, 2, 4, seed=5)
     path = write_instance(tmp_path, phi)

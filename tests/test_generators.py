@@ -69,7 +69,7 @@ def test_edge_cover_rejects_isolated_vertex():
 
 def test_edge_cover_parity_identity_small():
     for seed in range(60):
-        g = random_graph(2 + seed % 7, 0.5, seed, ensure_no_isolated=True)
+        g = random_graph(2 + seed % 7, 0.5, seed)
         if any(g.degree(v) == 0 for v in g.vertices):
             continue
         phi = gen_edge_cover_formula(g)

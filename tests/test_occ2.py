@@ -68,7 +68,7 @@ def test_multigraph_of_ring_formula():
     kinds = sorted(e.label[0] for e in g.edges)
     assert kinds == ["chain", "chain", "var", "var", "var", "var"]
     for v in g.vertices:
-        assert g.degree(v) == 3
+        assert sum((e.u == v) + (e.v == v) for e in g.edges) == 3
     assert not g.self_loops
 
 
@@ -86,9 +86,27 @@ def test_multigraph_degree_three_on_fuzz():
         if loop_free.formula.m3 == 0:
             continue
         for v in g.vertices:
-            assert g.degree(v) == 3
+            assert sum((e.u == v) + (e.v == v) for e in g.edges) == 3
         checked += 1
     assert checked > 20
+
+
+def test_multigraph_edges_follow_the_clause_order():
+    from xparity.formula import clause_sort_key
+
+    def edge_key(e):
+        ku, kv = sorted((clause_sort_key(e.u), clause_sort_key(e.v)))
+        return ku, kv, e.label
+
+    graphs = []
+    for seed in range(60):
+        out = reduce_formula(gen_random_docc(20, 2, 2, 3, seed=seed))
+        if out.parity is None and out.formula.m3:
+            graphs.append(build_multigraph(out.formula))
+    graphs += [build_multigraph(cubic_edge_cover(random.Random(nv), nv)) for nv in (14, 40)]
+    assert len(graphs) > 20
+    for g in graphs:
+        assert g.edges == sorted(g.edges, key=edge_key)
 
 
 def test_solve_2cnf_examples():

@@ -416,3 +416,18 @@ def test_a_pass_checking_r12_and_r13_searches_its_formula_once(monkeypatch):
         fired += sum(rid == "R13" for rid, _ in out.trace)
         assert len({id(psi) for psi in searched}) == len(searched)
     assert fired >= 20, fired
+
+
+def test_a_firing_that_keeps_the_formula_raises(monkeypatch):
+    # a rule that reports "changed" but returns its input leaves (n, m, L)
+    # where it was, so the reducer must refuse it rather than loop
+    import pytest
+
+    from xparity import reducer as red
+
+    def stall(phi):
+        return ("changed", phi, "nothing")
+
+    monkeypatch.setattr(red, "_RULES", (("R0", stall),) + red._RULES)
+    with pytest.raises(red.ReducerInvariantError, match="did not decrease the potential"):
+        reduce_formula(F(3, [1, 2], [-1, 3]))
