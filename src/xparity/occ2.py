@@ -67,29 +67,25 @@ def check_occ2(phi: Formula):
             raise ContractViolation(f"variable {v} occurs {phi.degree(v)} times; need <= 2")
 
 
-def _other_occurrence(phi: Formula, v: int, cidx: int):
-    occs = phi.occ[v]
-    for oc, lit in occs:
-        if oc != cidx:
-            return oc, lit
-    return None
-
-
 def _walk(phi: Formula, start_idx: int, v: int):
     """Follow variable v out of a 3-clause through any chain of 2-clauses;
     returns (end clause index, end variable, chain clause indices)."""
+    occ, clauses = phi.occ, phi.clauses
     chain = []
-    cur_var = v
-    nxt = _other_occurrence(phi, cur_var, start_idx)
+    cidx = start_idx
     while True:
-        cidx, _ = nxt
-        clause = phi.clauses[cidx]
+        (a, _), (b, _) = occ[v]
+        if a == b:
+            raise ContractViolation(f"variable {v} occurs twice in clause {clauses[a]}")
+        cidx = b if a == cidx else a
+        clause = clauses[cidx]
         if len(clause) != 2:
-            return cidx, cur_var, chain
+            return cidx, v, chain
         chain.append(cidx)
-        (exit_var,) = [var_of(l) for l in clause if var_of(l) != cur_var]
-        cur_var = exit_var
-        nxt = _other_occurrence(phi, cur_var, cidx)
+        x, y = clause
+        if x == v or x == -v:
+            x = y
+        v = x if x > 0 else -x
 
 
 def build_multigraph(phi: Formula) -> ClauseMultigraph:
@@ -113,11 +109,7 @@ def build_multigraph(phi: Formula) -> ClauseMultigraph:
                 raise ReducerInvariantError("chain ended in a non-3-clause")
             seen_slots.add((cidx, v))
             seen_slots.add((end_idx, end_var))
-            label = (
-                ("var", v)
-                if not chain
-                else ("chain",) + tuple(phi.clauses[i] for i in chain)
-            )
+            label = ("chain", *(phi.clauses[i] for i in chain)) if chain else ("var", v)
             key = (*sorted((phi.keys[cidx], phi.keys[end_idx])), label)
             keyed.append((key, MultiEdge(phi.clauses[cidx], phi.clauses[end_idx], label)))
     keyed.sort(key=lambda pair: pair[0])
@@ -156,42 +148,53 @@ def _break_cycle(sub: Formula) -> int:
     transfer matrices M_i[x][y] = 1 unless v_i=x, v_{i+1}=y falsify clause
     i; the walk keeps the product modulo 2."""
     _check_2cnf(sub)
+    clauses, occ = sub.clauses, sub.occ
     for v in sub.variables:
-        if sub.degree(v) != 2:
+        if len(occ.get(v, ())) != 2:
             raise ReducerInvariantError(
                 f"not a cycle: variable {v} occurs {sub.degree(v)} times, not twice"
             )
-    if not sub.clauses:
+    if not clauses:
         raise ReducerInvariantError("not a cycle: no clauses")
-    clauses = sub.clauses
-    head = var_of(clauses[0][0])
-    prod = ((1, 0), (0, 1))
-    cidx, p, steps = 0, clauses[0][0], 0
+    p = clauses[0][0]
+    head = p if p > 0 else -p
+    # the product [[a, b], [c, d]]
+    a, b, c, d = 1, 0, 0, 1
+    cidx, steps = 0, 0
     while True:
         clause = clauses[cidx]
-        if len(clause) != 2 or var_of(clause[0]) == var_of(clause[1]):
+        if len(clause) != 2 or clause[0] == clause[1] or clause[0] == -clause[1]:
             raise ReducerInvariantError(
                 f"not a cycle: clause {clause} does not continue the walk"
             )
-        q = clause[1] if clause[0] == p else clause[0]
+        x, q = clause
+        if q == p:
+            q = x
         # M is all ones but at (fp, fq), the values falsifying p and q, so
         # a row of the product times M is row[0] ^ row[1], less row[fp] in
-        # column fq
-        fp, fq = int(p < 0), int(q < 0)
-        prod = tuple(
-            tuple(row[0] ^ row[1] ^ (row[fp] if col == fq else 0) for col in (0, 1))
-            for row in prod
-        )
+        # column fq; e and f are row[fp] of the two rows
+        e = b if p < 0 else a
+        f = d if p < 0 else c
+        a = b = a ^ b
+        c = d = c ^ d
+        if q < 0:
+            b, d = b ^ e, d ^ f
+        else:
+            a, c = a ^ e, c ^ f
         steps += 1
-        cidx, p = _other_occurrence(sub, var_of(q), cidx)
+        (i, l), (j, r) = occ[q if q > 0 else -q]
+        if i == cidx:
+            cidx, p = j, r
+        else:
+            cidx, p = i, l
         if cidx == 0:
             break
-    if steps != sub.m or var_of(p) != head:
+    if steps != sub.m or (p if p > 0 else -p) != head:
         raise ReducerInvariantError(
             f"not a cycle: the walk closed after {steps} of {sub.m} clauses, "
-            f"through variable {var_of(p)} (started at {head})"
+            f"through variable {p if p > 0 else -p} (started at {head})"
         )
-    return prod[0][0] ^ prod[1][1]
+    return a ^ d
 
 
 # -- self-loop elimination -------------------------------------------------------

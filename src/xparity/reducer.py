@@ -48,7 +48,9 @@ Rule summary (ids follow the priority order):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter, neg
 
 from .formula import (
     Formula,
@@ -61,6 +63,8 @@ from .formula import (
 from .oracle import brute_parity
 
 SUBFORMULA_VAR_CAP = 10  # threshold from the isolate/semi-isolate rules
+
+_clause_index = itemgetter(0)  # of an occurrence entry (clause index, literal)
 
 
 class ReducerInvariantError(AssertionError):
@@ -85,11 +89,6 @@ class ReductionOutcome:
         if self.verdict is not None:
             return self.verdict
         return 1 if self.formula.is_empty() else None
-
-
-def _holding(phi: Formula, lit: int) -> list:
-    """Ascending indices of the clauses holding lit, once per copy."""
-    return [cidx for cidx, l in phi.occ.get(var_of(lit), ()) if l == lit]
 
 
 # -- individual rules --------------------------------------------------------
@@ -122,7 +121,7 @@ def _r2(phi: Formula, scope=None):
 def _r3(phi: Formula, scope=None):
     for k, clause in _scoped(phi, scope):
         s = phi.sets[k]
-        if any(-l in s for l in s):
+        if not s.isdisjoint(map(neg, s)):
             out = Formula._derive(phi.variables, phi, (k,))
             return ("changed", out, f"tautology {clause}")
     return None
@@ -134,7 +133,7 @@ def _first_superset(phi: Formula, i: int):
     # index) finds the smallest j.
     sets = phi.sets
     s = sets[i]
-    scan = min([phi.occ[var_of(l)] for l in s], key=len) if s else enumerate(sets)
+    scan = min(map(phi.occ.__getitem__, map(abs, s)), key=len) if s else enumerate(sets)
     for j, _ in scan:
         if s < sets[j]:
             return j
@@ -197,27 +196,41 @@ def _r7(phi: Formula):
 
 
 def _r8(phi: Formula):
-    for v in sorted(phi.variables):
-        occs = phi.occ.get(v, ())
-        if not occs:
-            continue
-        common = frozenset.intersection(*(phi.sets[cidx] for cidx, _ in occs)) - {v, -v}
-        if common:
-            lit = min(common, key=lambda l: (abs(l), l < 0))
+    sets = phi.sets
+    for v in sorted(phi.occ):
+        common = None
+        for cidx, _ in phi.occ[v]:
+            common = sets[cidx] if common is None else common & sets[cidx]
+        # a literal besides v and -v
+        if len(common) > (v in common) + (-v in common):
+            lit = min(common - {v, -v}, key=lambda l: (abs(l), l < 0))
             return ("changed", assign_literal(phi, -lit), f"{lit} dominates {v}: {lit}=0")
     return None
 
 
 def _r9(phi: Formula):
+    """Twins a, b: the clauses holding a are those holding b, once per copy,
+    and so for -a and -b.  So only variables with equal clause-index lists
+    can be twins, and only the first clause of such a list is scanned."""
     occ = phi.occ
-    for k, clause in enumerate(phi.clauses):
-        # twins share every clause, so clause k is the first of both
+    seen = {}  # clause-index list -> the first variable with it
+    starts = set()  # the first clause of each list two variables share
+    for v, occs in occ.items():
+        key = tuple(map(_clause_index, occs))
+        if seen.setdefault(key, v) != v:
+            starts.add(key[0])
+    for k in sorted(starts):
+        clause = phi.clauses[k]
         firsts = [l for l in clause if occ[var_of(l)][0][0] == k]
         for a in firsts:
             for b in firsts:
                 if var_of(a) >= var_of(b):
                     continue
-                if _holding(phi, a) == _holding(phi, b) and _holding(phi, -a) == _holding(phi, -b):
+                # the occurrences of each as (clause index, holds -a or -b),
+                # in one canonical order
+                twin_a = sorted(2 * cidx + (l != a) for cidx, l in occ[var_of(a)])
+                twin_b = sorted(2 * cidx + (l != b) for cidx, l in occ[var_of(b)])
+                if twin_a == twin_b:
                     # twins: drop the higher-numbered variable
                     return (
                         "changed",
@@ -228,21 +241,25 @@ def _r9(phi: Formula):
 
 
 def _r10(phi: Formula):
+    """The first clause holding lit (v before -v, least v first) whose other
+    literals all lie in a clause holding -lit strips -lit from that clause."""
     clauses, sets = phi.clauses, phi.sets
     for v in sorted(phi.occ):
         occs = phi.occ[v]
-        first = occs[0][1]
-        if all(lit == first for _, lit in occs):
-            continue
-        # (index, literals besides lit) of each clause holding lit, once
-        # per copy, ascending
-        rests = {v: [], -v: []}
-        for cidx, lit in occs:
-            rests[lit].append((cidx, sets[cidx] - {lit}))
         for lit in (v, -v):
-            for ai, rest in rests[lit]:
-                for bi, other in rests[-lit]:
-                    if bi != ai and rest <= other:
+            for ai, la in occs:
+                # a tautology holding lit also holds -lit, which no clause
+                # less -lit holds
+                if la != lit or -lit in sets[ai]:
+                    continue
+                for bi, lb in occs:
+                    if lb == lit or bi == ai or len(sets[ai]) > len(sets[bi]):
+                        continue
+                    other = sets[bi]
+                    for x in clauses[ai]:
+                        if x != lit and x not in other:
+                            break
+                    else:
                         rewritten = tuple(l for l in clauses[bi] if l != -lit)
                         return (
                             "changed",
@@ -253,26 +270,24 @@ def _r10(phi: Formula):
 
 
 def _r11(phi: Formula):
-    two = {}
-    for clause, lits in zip(phi.clauses, phi.sets):
+    # a canonical (b a) with var(b) < var(a) has the complement (-b -a)
+    two = set()
+    for clause in phi.clauses:
         if len(clause) == 2:
-            key = frozenset(var_of(l) for l in clause)
-            if len(key) != 2:
+            b, a = clause
+            if b == a or b == -a:
                 continue  # duplicated variable, earlier rules handle it
-            for other in two.get(key, ()):
-                if lits == {-l for l in other}:
-                    a, b = sorted(clause, key=lambda l: -abs(l))  # a has larger var
-                    target = -b if a > 0 else b
-                    merged = merge_variables(phi, var_of(a), target)
-                    tautologies = [
-                        k for k, s in enumerate(merged.sets) if any(-l in s for l in s)
-                    ]
-                    return (
-                        "changed",
-                        Formula._derive(merged.variables, merged, tautologies),
-                        f"{clause} vs {other}: set var {var_of(a)} := literal {target}",
-                    )
-            two.setdefault(key, []).append(clause)
+            other = (-b, -a)
+            if other in two:
+                target = -b if a > 0 else b
+                merged = merge_variables(phi, var_of(a), target)
+                tautologies = [k for k, s in enumerate(merged.sets) if any(-l in s for l in s)]
+                return (
+                    "changed",
+                    Formula._derive(merged.variables, merged, tautologies),
+                    f"{clause} vs {other}: set var {var_of(a)} := literal {target}",
+                )
+            two.add(clause)
     return None
 
 
@@ -297,15 +312,20 @@ def _incidence(phi: Formula) -> tuple:
     """
     if phi._incidence is not None:
         return phi._incidence
-    m = phi.m
-    variables = list(phi.occ)
-    vertex = {v: m + k for k, v in enumerate(variables)}
-    adj = [list({vertex[var_of(l)] for l in c}) for c in phi.clauses]
-    adj += [list({cidx for cidx, _ in phi.occ[v]}) for v in variables]
-    disc = [0] * len(adj)  # preorder position plus one; 0 = unvisited
-    low = [0] * len(adj)
-    end = [0] * len(adj)  # the subtree of u is order[disc[u] - 1 : end[u]]
-    nvars = [0] * len(adj)  # variables in the DFS subtree
+    m, clauses, occ = phi.m, phi.clauses, phi.occ
+    variables = list(occ)
+    # vertices: clause i is i, variable variables[k] is m + k.  A vertex's
+    # neighbours are read off its clause's literals or its occurrence
+    # entries; a repeated one is a repeated edge and changes nothing below.
+    vertex = {}
+    for k, v in enumerate(variables, m):
+        vertex[v] = vertex[-v] = k
+    lit_vertex = vertex.__getitem__
+    size = m + len(variables)
+    disc = [0] * size  # preorder position plus one; 0 = unvisited
+    low = [0] * size
+    end = [0] * size  # the subtree of u is order[disc[u] - 1 : end[u]]
+    nvars = [0] * size  # variables in the DFS subtree
     order = []
     seps = {}  # cut variable -> its separated child subtrees
     cuts = []  # the keys of seps, in order of discovery
@@ -317,7 +337,7 @@ def _incidence(phi: Formula) -> tuple:
         first_cut = len(cuts)
         order.append(root)
         disc[root] = low[root] = len(order)
-        stack = [(root, iter(adj[root]))]
+        stack = [(root, map(lit_vertex, clauses[root]))]
         while stack:
             u, it = stack[-1]
             for w in it:
@@ -326,7 +346,9 @@ def _incidence(phi: Formula) -> tuple:
                     disc[w] = low[w] = len(order)
                     if w >= m:
                         nvars[w] = 1
-                    stack.append((w, iter(adj[w])))
+                        stack.append((w, map(_clause_index, occ[variables[w - m]])))
+                    else:
+                        stack.append((w, map(lit_vertex, clauses[w])))
                     break
                 if disc[w] < low[u]:
                     low[u] = disc[w]
@@ -576,61 +598,35 @@ def _connected_subsets_within_cap(phi: Formula, cap: int, limit: int = 500_000):
 
 
 def check_reduced_properties(phi: Formula) -> PropertyReport:
-    results = {}
-    witnesses = {}
-
-    bad = [(v, phi.degree(v)) for v in sorted(phi.variables) if phi.degree(v) < 2]
-    results["p1_all_variables_2plus"] = not bad
-    if bad:
-        witnesses["p1_all_variables_2plus"] = bad[0]
-
-    short = [c for c in phi.clauses if len(c) < 2]
-    results["p2_all_clauses_2plus"] = not short
-    if short:
-        witnesses["p2_all_clauses_2plus"] = short[0]
-
-    sets = phi.sets
+    """Each failed property's witness is the first one found."""
+    clauses, m = phi.clauses, phi.m
+    varsets = [frozenset(var_of(l) for l in c) for c in clauses]
     two_vars = {v for v in phi.variables if phi.degree(v) == 2}
-    viol = None
-    m = phi.m
-    for i in range(m):
-        vi = {var_of(l) for l in sets[i]}
-        for j in range(i + 1, m):
-            shared = vi & {var_of(l) for l in sets[j]} & two_vars
-            if len(shared) > 1:
-                viol = (phi.clauses[i], phi.clauses[j], sorted(shared))
-                break
-        if viol:
-            break
-    results["p3_clause_pair_one_common_2var"] = viol is None
-    if viol:
-        witnesses["p3_clause_pair_one_common_2var"] = viol
-
-    viol = None
-    twos = [c for c in phi.clauses if len(c) == 2]
-    for i in range(len(twos)):
-        for j in range(i + 1, len(twos)):
-            shared = {var_of(l) for l in twos[i]} & {var_of(l) for l in twos[j]}
-            if len(shared) > 1:
-                viol = (twos[i], twos[j], sorted(shared))
-                break
-        if viol:
-            break
-    results["p4_2clause_pair_one_common_var"] = viol is None
-    if viol:
-        witnesses["p4_2clause_pair_one_common_var"] = viol
-
-    viol = None
-    all_vars_by_clause = [frozenset(var_of(l) for l in c) for c in phi.clauses]
-    for subset, vs in _connected_subsets_within_cap(phi, SUBFORMULA_VAR_CAP):
-        rest_vars = frozenset().union(
-            *(all_vars_by_clause[i] for i in range(phi.m) if i not in subset)
-        ) if len(subset) < phi.m else frozenset()
-        if len(vs & rest_vars) < 2:
-            viol = (sorted(subset), sorted(vs & rest_vars))
-            break
-    results["p5_small_subformula_interface"] = viol is None
-    if viol:
-        witnesses["p5_small_subformula_interface"] = viol
-
-    return PropertyReport(results, witnesses)
+    twos = [i for i, c in enumerate(clauses) if len(c) == 2]
+    found = {
+        "p1_all_variables_2plus": (
+            (v, phi.degree(v)) for v in sorted(phi.variables) if phi.degree(v) < 2
+        ),
+        "p2_all_clauses_2plus": (c for c in clauses if len(c) < 2),
+        "p3_clause_pair_one_common_2var": (
+            (clauses[i], clauses[j], sorted(shared))
+            for i, j in itertools.combinations(range(m), 2)
+            if len(shared := varsets[i] & varsets[j] & two_vars) > 1
+        ),
+        "p4_2clause_pair_one_common_var": (
+            (clauses[i], clauses[j], sorted(shared))
+            for i, j in itertools.combinations(twos, 2)
+            if len(shared := varsets[i] & varsets[j]) > 1
+        ),
+        "p5_small_subformula_interface": (
+            (sorted(subset), sorted(shared))
+            for subset, vs in _connected_subsets_within_cap(phi, SUBFORMULA_VAR_CAP)
+            if len(shared := {v for v in vs if any(i not in subset for i, _ in phi.occ[v])}) < 2
+        ),
+    }
+    witnesses = {}
+    for name, search in found.items():
+        witness = next(search, None)
+        if witness is not None:
+            witnesses[name] = witness
+    return PropertyReport({name: name not in witnesses for name in found}, witnesses)

@@ -62,12 +62,14 @@ class Telemetry:
     def node(self, depth: int, kind: str, detail: dict | None = None):
         self.nodes += 1
         self.max_depth = max(self.max_depth, depth)
-        self.event({"kind": "node", "depth": depth, "node": kind, **(detail or {})})
+        if self.sink is not None:
+            self.event({"kind": "node", "depth": depth, "node": kind, **(detail or {})})
 
     def leaf(self, depth: int, kind: str, detail: dict | None = None):
         self.leaves += 1
         self.max_depth = max(self.max_depth, depth)
-        self.event({"kind": "leaf", "depth": depth, "node": kind, **(detail or {})})
+        if self.sink is not None:
+            self.event({"kind": "leaf", "depth": depth, "node": kind, **(detail or {})})
 
     # -- ledger ----------------------------------------------------------------
 

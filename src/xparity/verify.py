@@ -198,6 +198,14 @@ def criterion_3_reduced_properties(quick: bool = False):
     return ok, f"{checked} reduced outputs checked against all five properties; {failures} failures"
 
 
+def _children(branching, phi: Formula, on):
+    """The children of one branching, None when it refuses the pivot."""
+    try:
+        return branching(phi, on).children
+    except ValueError:
+        return None
+
+
 def criterion_4_branching_identities(quick: bool = False):
     want_pairs = _scale(5_000, quick)
     rng = random.Random(424242)
@@ -212,35 +220,19 @@ def criterion_4_branching_identities(quick: bool = False):
         phi = Formula(range(1, n + 1), clauses)
         want = brute_parity(phi)
         if clause_ok < want_pairs and phi.clauses:
-            pivot = phi.clauses[rng.randrange(phi.m)]
-            try:
-                branch = clause_branch(phi, pivot)
-            except ValueError:
-                branch = None
-            if branch is not None:
-                got = 0
-                for child in branch.children:
-                    got ^= brute_parity(child)
+            children = _children(clause_branch, phi, phi.clauses[rng.randrange(phi.m)])
+            if children is not None:
                 clause_ok += 1
-                if got != want:
-                    bad += 1
+                bad += sum(map(brute_parity, children)) % 2 != want
         if variable_ok < want_pairs:
             occupied = [v for v in phi.variables if phi.degree(v) > 0]
             if occupied:
                 x = rng.choice(occupied)
-                try:
-                    branch = variable_branch(phi, x)
-                except ValueError:
-                    branch = None
-                if branch is not None:
-                    got = 0
-                    for child in branch.children:
-                        got ^= brute_parity(child)
+                children = _children(variable_branch, phi, x)
+                if children is not None:
                     variable_ok += 1
-                    if got != want:
-                        bad += 1
-                    if len(branch.children) != phi.degree(x):
-                        bad += 1
+                    bad += sum(map(brute_parity, children)) % 2 != want
+                    bad += len(children) != phi.degree(x)
     ok = bad == 0
     return ok, (
         f"variable-branching pairs: {variable_ok}, clause-branching pairs: {clause_ok}, "

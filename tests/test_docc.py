@@ -134,6 +134,18 @@ def test_fib_oracle_fuzz_and_leaf_growth():
                 assert tel.leaves <= 40 * bound ** phi.m
 
 
+def test_fib_without_a_sink_builds_no_record(monkeypatch):
+    # nodes and leaves are counted, but nothing is streamed or built for it
+    def event(self, record):
+        raise AssertionError(f"record built without a sink: {record}")
+
+    monkeypatch.setattr(Telemetry, "event", event)
+    phi = gen_random_docc(16, 3, 2, 3, seed=4, polarity="positive")
+    tel = Telemetry()
+    assert solve_positive_fib(phi, tel) == brute_parity(phi)
+    assert tel.nodes > 0 and tel.leaves > 0
+
+
 def test_dual_system_shape():
     phi = Formula([1, 2, 3], [[1, 2], [2, 3]])
     assert dual_formula(phi) == Formula([1, 2], [[1], [1, 2], [2]])

@@ -60,6 +60,13 @@ def test_contract_rejects_high_degree():
         solve_occ2(phi)
 
 
+def test_multigraph_refuses_a_variable_held_twice_by_one_clause():
+    # every variable occurs twice, but 1 and 3 never leave their clause
+    phi = Formula([1, 2, 3], [[1, -1, 2], [-2, 3, -3]])
+    with pytest.raises(ContractViolation, match="occurs twice in clause"):
+        build_multigraph(phi)
+
+
 def test_multigraph_of_ring_formula():
     phi = fig2_formula()
     g = build_multigraph(phi)

@@ -1,7 +1,8 @@
 """The occurrence-list R4 and the articulation-point R13 against their
 naive definitions: all-pairs subsumption, and one clause-component pass
 per variable, by a search of its own that shares no code with the
-reducer's.
+reducer's.  R8-R11 are checked against their earlier versions, which
+built a set, list or tuple for each occurrence and clause they looked at.
 
 Every formula is checked twice: the single rule application must return
 exactly what the naive rule returns, and the whole fixpoint run with
@@ -20,7 +21,14 @@ from hypothesis import strategies as st
 
 from xparity import reducer
 from xparity.branching import clause_branch, simple_branch, variable_branch
-from xparity.formula import Formula, assign_literal, flip_variable, merge_variables
+from xparity.formula import (
+    Formula,
+    assign_literal,
+    flip_variable,
+    merge_variables,
+    remove_variable,
+    var_of,
+)
 from xparity.generators import gen_edge_cover_formula, gen_random_docc, gen_rule_trigger
 from xparity.oracle import SimpleGraph, brute_parity
 from xparity.reducer import (
@@ -102,7 +110,99 @@ def naive_r13(phi: Formula):
     return None
 
 
-NAIVE = {"R4": naive_r4, "R13": naive_r13}
+def _holding(phi: Formula, lit: int) -> list:
+    """Ascending indices of the clauses holding lit, once per copy."""
+    return [cidx for cidx, l in phi.occ.get(var_of(lit), ()) if l == lit]
+
+
+def naive_r8(phi: Formula):
+    for v in sorted(phi.variables):
+        occs = phi.occ.get(v, ())
+        if not occs:
+            continue
+        common = frozenset.intersection(*(phi.sets[cidx] for cidx, _ in occs)) - {v, -v}
+        if common:
+            lit = min(common, key=lambda l: (abs(l), l < 0))
+            return ("changed", assign_literal(phi, -lit), f"{lit} dominates {v}: {lit}=0")
+    return None
+
+
+def naive_r9(phi: Formula):
+    occ = phi.occ
+    for k, clause in enumerate(phi.clauses):
+        # twins share every clause, so clause k is the first of both
+        firsts = [l for l in clause if occ[var_of(l)][0][0] == k]
+        for a in firsts:
+            for b in firsts:
+                if var_of(a) >= var_of(b):
+                    continue
+                if _holding(phi, a) == _holding(phi, b) and _holding(phi, -a) == _holding(phi, -b):
+                    # twins: drop the higher-numbered variable
+                    return (
+                        "changed",
+                        remove_variable(phi, var_of(b)),
+                        f"twins {a},{b}: drop {var_of(b)}",
+                    )
+    return None
+
+
+def naive_r10(phi: Formula):
+    clauses, sets = phi.clauses, phi.sets
+    for v in sorted(phi.occ):
+        occs = phi.occ[v]
+        first = occs[0][1]
+        if all(lit == first for _, lit in occs):
+            continue
+        # (index, literals besides lit) of each clause holding lit, once
+        # per copy, ascending
+        rests = {v: [], -v: []}
+        for cidx, lit in occs:
+            rests[lit].append((cidx, sets[cidx] - {lit}))
+        for lit in (v, -v):
+            for ai, rest in rests[lit]:
+                for bi, other in rests[-lit]:
+                    if bi != ai and rest <= other:
+                        rewritten = tuple(l for l in clauses[bi] if l != -lit)
+                        return (
+                            "changed",
+                            Formula._derive(phi.variables, phi, (bi,), (rewritten,)),
+                            f"{clauses[ai]} resolves {-lit} out of {clauses[bi]}",
+                        )
+    return None
+
+
+def naive_r11(phi: Formula):
+    two = {}
+    for clause, lits in zip(phi.clauses, phi.sets):
+        if len(clause) == 2:
+            key = frozenset(var_of(l) for l in clause)
+            if len(key) != 2:
+                continue  # duplicated variable, earlier rules handle it
+            for other in two.get(key, ()):
+                if lits == {-l for l in other}:
+                    a, b = sorted(clause, key=lambda l: -abs(l))  # a has larger var
+                    target = -b if a > 0 else b
+                    merged = merge_variables(phi, var_of(a), target)
+                    tautologies = [
+                        k for k, s in enumerate(merged.sets) if any(-l in s for l in s)
+                    ]
+                    return (
+                        "changed",
+                        Formula._derive(merged.variables, merged, tautologies),
+                        f"{clause} vs {other}: set var {var_of(a)} := literal {target}",
+                    )
+            two.setdefault(key, []).append(clause)
+    return None
+
+
+NAIVE = {
+    "R4": naive_r4,
+    "R8": naive_r8,
+    "R9": naive_r9,
+    "R10": naive_r10,
+    "R11": naive_r11,
+    "R13": naive_r13,
+}
 
 
 @contextmanager
@@ -221,16 +321,57 @@ def test_fast_rules_match_naive_on_raw_formulas(phi):
     check_against_naive(phi)
 
 
+def test_r9_finds_twins_that_share_a_tautology():
+    # the tautology holds both literals of each twin, so the twins' clause
+    # lists agree while their occurrence entries list the signs in another
+    # order; random raw formulas reach this too rarely to rely on
+    cases = [
+        (Formula([1, 2], [[1, -1, 2, -2], [1, -2]]), "twins 1,-2: drop 2"),
+        (Formula([1, 2], [[1, -1, 2, -2], [-1, 2]]), "twins 1,-2: drop 2"),
+        (Formula([1, 2], [[1, -1, 2, -2], [1, 2]]), "twins 1,2: drop 2"),
+        (Formula(range(1, 5), [[2, -2, 4, -4], [2, -4]]), "twins 2,-4: drop 4"),
+    ]
+    for phi, detail in cases:
+        got = apply_rule(phi, "R9")
+        assert got == naive_r9(phi) and got[2] == detail, phi
+        check_against_naive(phi)
+
+
+def union_find_components(phi: Formula) -> tuple:
+    """Clauses joined whenever they share a variable, by union-find."""
+    parent = list(range(phi.m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    holder = {}
+    for i, clause in enumerate(phi.clauses):
+        for lit in clause:
+            parent[find(i)] = find(holder.setdefault(abs(lit), i))
+    comps = {}
+    for i in range(phi.m):
+        comps.setdefault(find(i), []).append(i)
+    return tuple(sorted(tuple(c) for c in comps.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_formulas(max_n=12, max_m=14))
+def test_clause_components_match_union_find_on_raw_formulas(phi):
+    assert reducer.clause_components(phi) == union_find_components(phi), phi
+
+
 def test_fast_rules_match_naive_on_rule_triggers():
-    fired = {"R4": 0, "R13": 0}
-    for rule in ("R4", "R10", "R12", "R13"):
+    fired = dict.fromkeys(NAIVE, 0)
+    for rule in ("R4", "R8", "R9", "R10", "R11", "R12", "R13"):
         for seed in range(25):
             check_against_naive(gen_rule_trigger(rule, seed), fired)
-    assert fired["R4"] >= 25 and fired["R13"] >= 25, fired
+    assert min(fired.values()) >= 25, fired
 
 
 def test_fast_rules_match_naive_on_random_docc():
-    fired = {"R4": 0, "R13": 0}
+    fired = dict.fromkeys(NAIVE, 0)
     rng = random.Random(5)
     for seed in range(40):
         phi = gen_random_docc(rng.randint(8, 24), rng.choice([2, 3]), 1, 4, seed=seed)
@@ -239,7 +380,7 @@ def test_fast_rules_match_naive_on_random_docc():
 
 
 def test_fast_rules_match_naive_on_block_trees():
-    fired = {"R4": 0, "R13": 0}
+    fired = dict.fromkeys(NAIVE, 0)
     for seed in range(60):
         check_against_naive(block_tree(random.Random(seed), 2 + seed % 6), fired)
     assert fired["R13"] >= 60, fired
