@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .branching import clause_branch, settle_children
 from .factors import epsilon_prime
-from .formula import Formula, assign_literal, clause_sort_key, var_of
+from .formula import Formula, clause_sort_key, var_of
 from .oracle import brute_parity
 from .reducer import (
     SUBFORMULA_VAR_CAP,
@@ -67,25 +67,49 @@ def check_occ2(phi: Formula):
             raise ContractViolation(f"variable {v} occurs {phi.degree(v)} times; need <= 2")
 
 
-def _walk(phi: Formula, start_idx: int, v: int):
-    """Follow variable v out of a 3-clause through any chain of 2-clauses;
-    returns (end clause index, end variable, chain clause indices)."""
+def _walk(phi: Formula, cidx: int, v: int):
+    """The one walk along 2-clauses: leave clause cidx through variable v,
+    follow 2-clauses until entering a clause of another length or cidx
+    again, and return (end clause index, the variable entered by, the
+    chain's clause indices, T), with T = (a, b, c, d) the GF(2) product
+    [[a, b], [c, d]] of the chain's transfer matrices: T[x][y] is the
+    parity of the chain's models with v = x and the end variable y."""
     occ, clauses = phi.occ, phi.clauses
-    chain = []
-    cidx = start_idx
+    start, chain = cidx, []
+    a, b, c, d = 1, 0, 0, 1
     while True:
-        (a, _), (b, _) = occ[v]
-        if a == b:
-            raise ContractViolation(f"variable {v} occurs twice in clause {clauses[a]}")
-        cidx = b if a == cidx else a
+        first, second = occ[v]
+        if first[0] == second[0]:
+            raise ContractViolation(f"variable {v} occurs twice in clause {clauses[first[0]]}")
+        cidx, p = second if first[0] == cidx else first
         clause = clauses[cidx]
-        if len(clause) != 2:
-            return cidx, v, chain
+        if cidx == start or len(clause) != 2:
+            return cidx, v, chain, (a, b, c, d)
         chain.append(cidx)
-        x, y = clause
-        if x == v or x == -v:
-            x = y
-        v = x if x > 0 else -x
+        x, q = clause
+        if q == p:
+            q = x
+        # M is all ones but at (fp, fq), the values falsifying p and q, so
+        # a row of the product times M is row[0] ^ row[1], less row[fp] in
+        # column fq; e and f are row[fp] of the two rows
+        e = b if p < 0 else a
+        f = d if p < 0 else c
+        a = b = a ^ b
+        c = d = c ^ d
+        if q < 0:
+            b, d = b ^ e, d ^ f
+        else:
+            a, c = a ^ e, c ^ f
+        v = q if q > 0 else -q
+
+
+def _closed(t: tuple, x: int, y: int) -> int:
+    """Parity of the models of a chain with product t that satisfy the
+    clause (x or y) on its end variables: the sum of t's entries less t at
+    the values falsifying x and y."""
+    a, b, c, d = t
+    row = (c, d) if x < 0 else (a, b)
+    return a ^ b ^ c ^ d ^ row[y < 0]
 
 
 def build_multigraph(phi: Formula) -> ClauseMultigraph:
@@ -104,7 +128,7 @@ def build_multigraph(phi: Formula) -> ClauseMultigraph:
         for v in sorted({var_of(l) for l in phi.clauses[cidx]}):
             if (cidx, v) in seen_slots:
                 continue
-            end_idx, end_var, chain = _walk(phi, cidx, v)
+            end_idx, end_var, chain, _ = _walk(phi, cidx, v)
             if len(phi.clauses[end_idx]) != 3:
                 raise ReducerInvariantError("chain ended in a non-3-clause")
             seen_slots.add((cidx, v))
@@ -119,8 +143,8 @@ def build_multigraph(phi: Formula) -> ClauseMultigraph:
 # -- polynomial 2-CNF ----------------------------------------------------------
 
 
-def _check_2cnf(phi: Formula):
-    for c in phi.clauses:
+def _check_2cnf(clauses):
+    for c in clauses:
         if len(c) > 2:
             raise ContractViolation(f"clause {c} too long for the 2-CNF solver")
 
@@ -129,86 +153,58 @@ def solve_2cnf(phi: Formula) -> int:
     """Parity of a 2-CNF 2-occ formula in polynomial time: reduction consumes
     path components; each cycle left at the fixpoint is settled by one walk
     round it (``_break_cycle``)."""
-    _check_2cnf(phi)
+    _check_2cnf(phi.clauses)
     check_occ2(phi)
     out = reduce_formula(phi)
     if out.parity is not None:
         return out.parity
     psi = out.formula
     for comp in clause_components(psi):
-        if _break_cycle(subformula(psi, comp)) == 0:
+        if _break_cycle(psi, comp) == 0:
             return 0
     return 1
 
 
-def _break_cycle(sub: Formula) -> int:
-    """Parity of a 2-CNF formula whose clauses form one cycle, in one walk
-    round it.  Clause i joins its entry variable v_i to its exit variable
-    v_{i+1}, so the model count is trace(M_0 ... M_{k-1}) over the 2x2
-    transfer matrices M_i[x][y] = 1 unless v_i=x, v_{i+1}=y falsify clause
-    i; the walk keeps the product modulo 2."""
-    _check_2cnf(sub)
-    clauses, occ = sub.clauses, sub.occ
-    for v in sub.variables:
-        if len(occ.get(v, ())) != 2:
+def _break_cycle(phi: Formula, comp) -> int:
+    """Parity of phi's clauses at the indices comp, a component whose
+    2-clauses form one cycle: the walk from its first clause (p or q) out
+    through q returns T over the rest of the cycle, which (p or q) closes."""
+    clauses, occ = phi.clauses, phi.occ
+    _check_2cnf(clauses[i] for i in comp)
+    for v in {abs(lit) for i in comp for lit in clauses[i]}:
+        if len(occ[v]) != 2:
             raise ReducerInvariantError(
-                f"not a cycle: variable {v} occurs {sub.degree(v)} times, not twice"
+                f"not a cycle: variable {v} occurs {len(occ[v])} times, not twice"
             )
-    if not clauses:
+    if not comp:
         raise ReducerInvariantError("not a cycle: no clauses")
-    p = clauses[0][0]
-    head = p if p > 0 else -p
-    # the product [[a, b], [c, d]]
-    a, b, c, d = 1, 0, 0, 1
-    cidx, steps = 0, 0
-    while True:
-        clause = clauses[cidx]
-        if len(clause) != 2 or clause[0] == clause[1] or clause[0] == -clause[1]:
-            raise ReducerInvariantError(
-                f"not a cycle: clause {clause} does not continue the walk"
-            )
-        x, q = clause
-        if q == p:
-            q = x
-        # M is all ones but at (fp, fq), the values falsifying p and q, so
-        # a row of the product times M is row[0] ^ row[1], less row[fp] in
-        # column fq; e and f are row[fp] of the two rows
-        e = b if p < 0 else a
-        f = d if p < 0 else c
-        a = b = a ^ b
-        c = d = c ^ d
-        if q < 0:
-            b, d = b ^ e, d ^ f
-        else:
-            a, c = a ^ e, c ^ f
-        steps += 1
-        (i, l), (j, r) = occ[q if q > 0 else -q]
-        if i == cidx:
-            cidx, p = j, r
-        else:
-            cidx, p = i, l
-        if cidx == 0:
-            break
-    if steps != sub.m or (p if p > 0 else -p) != head:
-        raise ReducerInvariantError(
-            f"not a cycle: the walk closed after {steps} of {sub.m} clauses, "
-            f"through variable {p if p > 0 else -p} (started at {head})"
-        )
-    return a ^ d
+    end = start = comp[0]
+    clause = clauses[start]
+    if len(clause) == 2 and abs(clause[0]) != abs(clause[1]):
+        p, q = clause
+        end, v, chain, t = _walk(phi, start, abs(q))
+        if end == start:
+            if len(chain) + 1 != len(comp) or v != abs(p):
+                raise ReducerInvariantError(
+                    f"not a cycle: the walk closed after {len(chain) + 1} of {len(comp)} "
+                    f"clauses, through variable {v} (started at {abs(p)})"
+                )
+            return _closed(t, q, p)
+    raise ReducerInvariantError(f"not a cycle: clause {clauses[end]} does not continue the walk")
 
 
 # -- self-loop elimination -------------------------------------------------------
 
 
 def eliminate_self_loops(phi: Formula) -> tuple[ReductionOutcome, ClauseMultigraph | None]:
-    """Settle every loop subformula of a formula at the reducer's fixpoint,
-    with the 2-CNF solver standing in for brute force (the hinged
-    small-subformula rule, scaled past the 10-variable cap).  A loop is a
-    self-loop edge of the multigraph: its 3-clause, whose chain returns to
-    it, and the chain's 2-clauses; the hinge is the 3-clause's third
-    variable.  Returns (outcome, g): the outcome is the verdict 0 or the
-    reduced loop-free formula, empty when the parity is 1, and g is that
-    formula's multigraph, or None once settled."""
+    """Settle every loop of a formula at the reducer's fixpoint (R13's
+    hinged subformula, past its 10-variable cap).  A loop is a self-loop
+    edge of the multigraph: a 3-clause (h or x or y) whose chain of
+    2-clauses leaves through x and returns through y; h's variable is the
+    hinge.  One walk round the chain gives its T, and the loop's parity is
+    T's entry sum when h holds, ``_closed`` when it does not.  Returns
+    (outcome, g): the verdict 0 or the reduced loop-free formula, empty
+    when the parity is 1, and g, that formula's multigraph or None."""
     out = ReductionOutcome(phi, None)
     while out.parity is None:
         phi = out.formula
@@ -216,16 +212,18 @@ def eliminate_self_loops(phi: Formula) -> tuple[ReductionOutcome, ClauseMultigra
         if not g.self_loops:
             return out, g
         e = g.self_loops[0]
-        loop = {e.u, *e.label[1:]}
-        idxs = [i for i, c in enumerate(phi.clauses) if c in loop]
-        (hinge,) = {var_of(l) for l in e.u} - {var_of(l) for c in e.label[1:] for l in c}
-        sub = subformula(phi, idxs)
-        p1 = solve_2cnf(assign_literal(sub, hinge))
-        p0 = solve_2cnf(assign_literal(sub, -hinge))
+        cidx = phi.clauses.index(e.u)
+        lits = {var_of(l): l for l in e.u}
+        v = var_of(next(l for l in e.label[1] if var_of(l) in lits))
+        _, w, chain, t = _walk(phi, cidx, v)
+        x, y = lits.pop(v), lits.pop(w)
+        ((hinge, h),) = lits.items()
+        held, closed = sum(t) & 1, _closed(t, x, y)
+        p1, p0 = (held, closed) if h > 0 else (closed, held)
         if p0 == 0 and p1 == 0:
             return ReductionOutcome(None, 0), None
         # the reducer settles any degeneracy an unassigned hinge leaves
-        out = reduce_formula(remove_hinged_side(phi, idxs, sub, hinge, p0, p1))
+        out = reduce_formula(remove_hinged_side(phi, [cidx, *chain], hinge, p0, p1))
     return out, None
 
 
@@ -364,7 +362,7 @@ def _prepare(psi: Formula, tel: Telemetry, depth: int):
             cores.append(comp)
         else:
             tel.leaf(depth, "occ2.2cnf-peel")
-            if _break_cycle(subformula(psi, comp)) == 0:
+            if _break_cycle(psi, comp) == 0:
                 return 0, None
     if not cores:
         return 1, None
@@ -385,7 +383,7 @@ def _base_solve(psi: Formula, tel: Telemetry, depth: int) -> int:
     2-CNF cycle (the fixpoint leaves no 2-CNF paths)."""
     if psi.m3 == 0:
         tel.leaf(depth, "occ2.base-2cnf")
-        return int(all(_break_cycle(subformula(psi, comp)) for comp in clause_components(psi)))
+        return int(all(_break_cycle(psi, comp) for comp in clause_components(psi)))
     comps = clause_components(psi)
     if len(comps) > 1:
         parity = 1
@@ -456,9 +454,9 @@ def bisection_solve(
                 f"rebisection increased the measure: {rho_before} -> {rho_after}"
             )
         # both sides are non-empty, so a re-call would pass the checks above
-        a, b = part.a, part.b
-
-    s = crossing_edges(g, a, b)
+        a, b, s = part.a, part.b, part.cut
+    else:
+        s = crossing_edges(g, a, b)
     if not s:
         parity = 1
         tel.event({"kind": "divide", "depth": depth, "sides": [len(a), len(b)]})

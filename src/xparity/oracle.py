@@ -13,10 +13,11 @@ from .formula import Formula, var_of
 
 
 class CapExceeded(Exception):
-    """Raised when an instance is larger than the configured oracle cap."""
+    """Raised when an instance is larger than the oracle cap."""
 
 
-DEFAULT_VAR_CAP = 24
+VAR_CAP = 24  # variables of a formula
+SET_CAP = 20  # universe or family of a set system, edges or vertices of a graph
 
 # bit patterns: _pattern(i) has bit a set iff (a >> i) & 1, over 2**width bits
 _pattern_cache: dict[tuple[int, int], int] = {}
@@ -45,14 +46,14 @@ def _all_ones(width: int) -> int:
 # -- CNF model counting ------------------------------------------------------
 
 
-def brute_count(phi: Formula, cap: int = DEFAULT_VAR_CAP) -> int:
+def brute_count(phi: Formula) -> int:
     """Exact number of satisfying assignments over the full variable set.
 
     Variables absent from every clause are free and double the count.
     """
     n = phi.n
-    if n > cap:
-        raise CapExceeded(f"{n} variables exceeds oracle cap {cap}")
+    if n > VAR_CAP:
+        raise CapExceeded(f"{n} variables exceeds oracle cap {VAR_CAP}")
     order = {v: i for i, v in enumerate(sorted(phi.variables))}
     acc = _all_ones(n)
     for clause in phi.clauses:
@@ -66,8 +67,8 @@ def brute_count(phi: Formula, cap: int = DEFAULT_VAR_CAP) -> int:
     return (acc & _all_ones(n)).bit_count()
 
 
-def brute_parity(phi: Formula, cap: int = DEFAULT_VAR_CAP) -> int:
-    return brute_count(phi, cap) & 1
+def brute_parity(phi: Formula) -> int:
+    return brute_count(phi) & 1
 
 
 # -- set systems -------------------------------------------------------------
@@ -90,12 +91,12 @@ class SetSystem:
                 raise ValueError("family member not contained in universe")
 
 
-def count_hitting_sets(system: SetSystem, cap: int = 20) -> int:
+def count_hitting_sets(system: SetSystem) -> int:
     """Number of H subseteq U intersecting every family member.  An empty
     set in the family admits no hitting set."""
     u = sorted(system.universe)
-    if len(u) > cap:
-        raise CapExceeded(f"universe size {len(u)} exceeds cap {cap}")
+    if len(u) > SET_CAP:
+        raise CapExceeded(f"universe size {len(u)} exceeds cap {SET_CAP}")
     order = {e: i for i, e in enumerate(u)}
     width = len(u)
     acc = _all_ones(width)
@@ -109,11 +110,11 @@ def count_hitting_sets(system: SetSystem, cap: int = 20) -> int:
     return (acc & _all_ones(width)).bit_count()
 
 
-def count_set_covers(system: SetSystem, cap: int = 20) -> int:
+def count_set_covers(system: SetSystem) -> int:
     """Number of subcollections of the family whose union is the universe."""
     fam = system.family
-    if len(fam) > cap:
-        raise CapExceeded(f"family size {len(fam)} exceeds cap {cap}")
+    if len(fam) > SET_CAP:
+        raise CapExceeded(f"family size {len(fam)} exceeds cap {SET_CAP}")
     width = len(fam)
     acc = _all_ones(width)
     for e in system.universe:
@@ -154,17 +155,16 @@ class SimpleGraph:
         return sum(1 for e in self.edges if v in e)
 
 
-def count_vertex_covers(graph: SimpleGraph, cap: int = 20) -> int:
+def count_vertex_covers(graph: SimpleGraph) -> int:
     """Vertex covers are exactly hitting sets of the edge system."""
-    system = SetSystem(graph.vertices, tuple(graph.edges))
-    return count_hitting_sets(system, cap)
+    return count_hitting_sets(SetSystem(graph.vertices, tuple(graph.edges)))
 
 
-def count_edge_covers(graph: SimpleGraph, cap: int = 20) -> int:
+def count_edge_covers(graph: SimpleGraph) -> int:
     """Edge subsets touching every vertex; 0 if some vertex is isolated."""
     edges = sorted(graph.edges, key=sorted)
-    if len(edges) > cap:
-        raise CapExceeded(f"{len(edges)} edges exceeds cap {cap}")
+    if len(edges) > SET_CAP:
+        raise CapExceeded(f"{len(edges)} edges exceeds cap {SET_CAP}")
     width = len(edges)
     acc = _all_ones(width)
     for v in graph.vertices:
@@ -178,12 +178,12 @@ def count_edge_covers(graph: SimpleGraph, cap: int = 20) -> int:
     return (acc & _all_ones(width)).bit_count()
 
 
-def inclusion_exclusion_edge_covers(graph: SimpleGraph, cap: int = 20) -> int:
+def inclusion_exclusion_edge_covers(graph: SimpleGraph) -> int:
     """Evaluate the alternating sum over vertex subsets S of
     (-1)^|S| * 2^|E(G-S)|; equals the direct edge-cover count."""
     vs = sorted(graph.vertices)
-    if len(vs) > cap:
-        raise CapExceeded(f"{len(vs)} vertices exceeds cap {cap}")
+    if len(vs) > SET_CAP:
+        raise CapExceeded(f"{len(vs)} vertices exceeds cap {SET_CAP}")
     order = {v: i for i, v in enumerate(vs)}
     edges = sorted(graph.edges, key=sorted)
     inc = [0] * len(vs)

@@ -432,7 +432,7 @@ def _r13(phi: Formula):
     p0 = brute_parity(assign_literal(sub, -x))
     if p0 == 0 and p1 == 0:
         return ("verdict", f"hinged subformula {comp} even for both values of {x}")
-    rest = remove_hinged_side(phi, side, sub, x, p0, p1)
+    rest = remove_hinged_side(phi, side, x, p0, p1)
     if p0 == p1:
         detail = f"hinged subformula {comp}: both parities odd, {x} kept"
     else:
@@ -440,12 +440,13 @@ def _r13(phi: Formula):
     return ("changed", rest, detail)
 
 
-def remove_hinged_side(phi: Formula, idxs, side: Formula, hinge: int, p0: int, p1: int) -> Formula:
-    """Drop the clauses at ``idxs`` and the variables of ``side``, their
-    subformula, except ``hinge``; p0 and p1 are the side's parities with the
-    hinge false and true, not both even.  When they differ the odd value is
-    forced; when both are odd the hinge stays unassigned."""
-    rest = Formula._derive(phi.variables - (side.variables - {hinge}), phi, sorted(set(idxs)))
+def remove_hinged_side(phi: Formula, idxs, hinge: int, p0: int, p1: int) -> Formula:
+    """Drop the clauses at ``idxs`` and their variables except ``hinge``;
+    p0 and p1 are the parities of those clauses with the hinge false and
+    true, not both even.  When they differ the odd value is forced; when
+    both are odd the hinge stays unassigned."""
+    side = {var_of(l) for i in idxs for l in phi.clauses[i]} - {hinge}
+    rest = Formula._derive(phi.variables - side, phi, sorted(idxs))
     if p0 != p1:
         rest = assign_literal(rest, hinge if p1 else -hinge)
     return rest

@@ -59,7 +59,7 @@ def relabelled_cycle(rng: random.Random, k: int) -> Formula:
 @given(st.integers(3, 400), st.integers(0, 2**32))
 def test_walk_matches_branch_and_reduce(k, seed):
     sub = relabelled_cycle(random.Random(seed), k)
-    got = _break_cycle(sub)
+    got = _break_cycle(sub, range(sub.m))
     assert got == branch_and_reduce(sub)
     if k <= 20:
         assert got == brute_parity(sub)
@@ -74,7 +74,7 @@ def test_walk_on_every_sign_pattern_of_small_cycles():
                 s = signs >> (2 * i)
                 clauses.append([v if s & 1 else -v, w if s & 2 else -w])
             sub = Formula(range(1, k + 1), clauses)
-            assert _break_cycle(sub) == brute_parity(sub), clauses
+            assert _break_cycle(sub, range(sub.m)) == brute_parity(sub), clauses
 
 
 # -- shapes that are not one cycle ------------------------------------------------
@@ -83,33 +83,33 @@ def test_walk_on_every_sign_pattern_of_small_cycles():
 def test_path_is_refused():
     path = Formula(range(1, 6), [[1, 2], [-2, 3], [3, -4], [4, 5]])
     with pytest.raises(ReducerInvariantError, match="occurs 1 times"):
-        _break_cycle(path)
+        _break_cycle(path, range(path.m))
 
 
 def test_two_disjoint_cycles_are_refused():
     rng = random.Random(7)
     clauses = cycle_clauses(rng, list(range(1, 13))) + cycle_clauses(rng, list(range(13, 25)))
     with pytest.raises(ReducerInvariantError, match="closed after 12 of 24 clauses"):
-        _break_cycle(Formula(range(1, 25), clauses))
+        _break_cycle(Formula(range(1, 25), clauses), range(24))
 
 
 def test_cycle_with_a_degree_one_variable_is_refused():
     clauses = cycle_clauses(random.Random(8), list(range(1, 13))) + [[-13, 14], [-14, 15]]
     with pytest.raises(ReducerInvariantError, match="variable 13 occurs 1 times"):
-        _break_cycle(Formula(range(1, 16), clauses))
+        _break_cycle(Formula(range(1, 16), clauses), range(14))
 
 
 def test_a_unit_clause_does_not_continue_the_walk():
     # every variable occurs twice, but one clause has a single literal
     sub = Formula(range(1, 4), [[1, 2], [-2, 3], [3], [-1]])
     with pytest.raises(ReducerInvariantError, match="does not continue the walk"):
-        _break_cycle(sub)
+        _break_cycle(sub, range(sub.m))
 
 
 def test_a_3_clause_is_a_contract_violation():
     sub = Formula(range(1, 4), [[1, 2, 3], [-1, -2, -3]])
     with pytest.raises(ContractViolation):
-        _break_cycle(sub)
+        _break_cycle(sub, range(sub.m))
 
 
 # -- cost -----------------------------------------------------------------------
@@ -128,5 +128,5 @@ def test_walk_reduces_and_derives_nothing(monkeypatch):
         "_derive",
         classmethod(lambda cls, *a, **kw: derivations.append(1) or derive(cls, *a, **kw)),
     )
-    _break_cycle(sub)
+    _break_cycle(sub, range(sub.m))
     assert (len(reductions), len(derivations)) == (0, 0)

@@ -164,7 +164,7 @@ def walk_self_loop(phi: Formula):
             continue
         cvars = sorted({var_of(l) for l in clause})
         for v in cvars:
-            end_idx, end_var, chain = occ2._walk(phi, cidx, v)
+            end_idx, end_var, chain, _ = occ2._walk(phi, cidx, v)
             if end_idx == cidx and end_var != v and chain:
                 hinge = [w for w in cvars if w not in (v, end_var)]
                 if len(hinge) == 1:
@@ -185,7 +185,7 @@ def walk_eliminate_self_loops(phi: Formula) -> ReductionOutcome:
         p0 = solve_2cnf(assign_literal(sub, -hinge))
         if p0 == 0 and p1 == 0:
             return ReductionOutcome(None, 0)
-        out = reduce_formula(remove_hinged_side(phi, idxs, sub, hinge, p0, p1))
+        out = reduce_formula(remove_hinged_side(phi, idxs, hinge, p0, p1))
     return out
 
 
@@ -216,7 +216,7 @@ def plant_self_loops(base: Formula, chains: list, rng: random.Random) -> Formula
 
 
 @st.composite
-def planted_loops(draw):
+def planted_loops(draw, shortest=9, longest=40):
     rng = random.Random(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
         base = cubic_edge_cover(rng, draw(st.sampled_from([4, 6, 8, 10])))
@@ -224,7 +224,7 @@ def planted_loops(draw):
         n = draw(st.integers(12, 30))
         out = reduce_formula(gen_random_docc(n, 2, 2, 3, seed=rng.randrange(2**32)))
         base = out.formula if out.parity is None else cubic_edge_cover(rng, 4)
-    chains = draw(st.lists(st.integers(9, 40), min_size=1, max_size=3))
+    chains = draw(st.lists(st.integers(shortest, longest), min_size=1, max_size=3))
     return plant_self_loops(base, chains, rng)
 
 
@@ -244,6 +244,34 @@ def test_planted_self_loops_match_the_walk(phi):
             assert g is None
     truth = brute_parity(phi) if phi.n <= 24 else refcount.cnf_parity(phi.n, phi.clauses)
     assert solve_occ2(phi, Telemetry(strict=True)) == truth
+
+
+@settings(max_examples=8, deadline=None)
+@given(planted_loops(100, 300))
+def test_long_planted_loops_match_the_walk(phi):
+    # chains the 2-CNF solver of the oracle takes in quadratic time
+    out = reduce_formula(phi)
+    if out.parity is None:
+        loop_free, _ = eliminate_self_loops(out.formula)
+        want = walk_eliminate_self_loops(out.formula)
+        assert (loop_free.verdict, loop_free.formula) == (want.verdict, want.formula)
+
+
+def test_a_long_loop_is_read_off_one_walk(monkeypatch):
+    # a loop with a 2,000-clause chain: one reduction after its removal, and
+    # no 2-CNF solve, which would eat the open chain one firing at a time
+    rng = random.Random(2000)
+    out = reduce_formula(plant_self_loops(cubic_edge_cover(rng, 8), [2000], rng))
+    assert out.parity is None and build_multigraph(out.formula).self_loops
+    reductions, solves = [], []
+    reduce = occ2.reduce_formula
+    monkeypatch.setattr(
+        occ2, "reduce_formula", lambda phi, **kw: reductions.append(1) or reduce(phi, **kw)
+    )
+    monkeypatch.setattr(occ2, "solve_2cnf", lambda phi: solves.append(1))
+    loop_free, _ = eliminate_self_loops(out.formula)
+    assert (len(reductions), len(solves)) == (1, 0)
+    assert loop_free.parity is not None or not build_multigraph(loop_free.formula).self_loops
 
 
 def test_loop_free_formula_is_untouched():
@@ -421,7 +449,7 @@ def test_rebisect_records_whether_the_measure_was_checked():
 
 def test_peeled_cycles_are_not_reduced_again(monkeypatch):
     # k odd cycles at the fixpoint: each is settled by one walk round it,
-    # with no reduction at all
+    # with no reduction and no derived formula at all
     import random
 
     from test_reducer_oracle import signed_cycles
@@ -429,13 +457,19 @@ def test_peeled_cycles_are_not_reduced_again(monkeypatch):
 
     psi = signed_cycles(random.Random(23), [12, 20, 31, 16])
     assert reduce_formula(psi).trace == []
-    calls = []
+    calls, derivations = [], []
     reduce = occ2.reduce_formula
+    derive = Formula._derive.__func__
     monkeypatch.setattr(
         occ2, "reduce_formula", lambda phi, **kw: calls.append(1) or reduce(phi, **kw)
     )
+    monkeypatch.setattr(
+        Formula,
+        "_derive",
+        classmethod(lambda cls, *a, **kw: derivations.append(1) or derive(cls, *a, **kw)),
+    )
     assert occ2._prepare(psi, Telemetry(), 0) == (1, None)
-    assert calls == []
+    assert calls == [] and derivations == []
 
 
 def test_prepare_reuses_the_split_of_the_reduction_before_it(monkeypatch):

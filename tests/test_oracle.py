@@ -67,7 +67,7 @@ def test_brute_count_matches_naive_enumeration():
 def test_cap_refusal():
     phi = Formula(range(1, 30), [])
     with pytest.raises(CapExceeded):
-        brute_count(phi, cap=24)
+        brute_count(phi)
 
 
 def test_hitting_and_cover_examples():
