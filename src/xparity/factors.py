@@ -35,8 +35,10 @@ def tau(*vector: float) -> float:
 
 
 def epsilon_prime(n_eps: int, eps: float = 1e-9) -> float:
-    """Largest eps' with (3 - eps')(1/6 + eps) <= 1/2 - 1/n_eps, the slack
-    that makes rebisection measure-safe."""
+    """Least eps' with (3 - eps')(1/6 + eps) <= 1/2 - 1/n_eps, the slack
+    that makes rebisection measure-safe; every larger eps' satisfies it too."""
+    if n_eps < 1:
+        raise ValueError(f"n_eps={n_eps} is below 1")
     val = 3.0 - (0.5 - 1.0 / n_eps) / (1.0 / 6.0 + eps)
     if val <= 0:
         raise ValueError(f"no positive eps' exists for n_eps={n_eps}")

@@ -37,7 +37,7 @@ def canonical_clause(literals: Iterable[Literal]) -> Clause:
     the reducer's job, not the representation's."""
     lits = tuple(sorted(literals, key=_lit_key))
     for lit in lits:
-        if not isinstance(lit, int) or lit == 0:
+        if type(lit) is not int or lit == 0:  # bool is an int, but not a literal
             raise ValueError(f"bad literal {lit!r}")
     return lits
 

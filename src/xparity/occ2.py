@@ -40,7 +40,7 @@ class ContractViolation(ValueError):
 class MultiEdge:
     u: tuple  # 3-clause (canonical tuple)
     v: tuple
-    label: tuple  # ("var", x) for a shared variable, ("chain", clauses...) for a 2-clause path
+    label: int  # the variable by which the edge's walk leaves u
 
     def is_loop(self) -> bool:
         return self.u == self.v
@@ -50,8 +50,9 @@ class MultiEdge:
 class ClauseMultigraph:
     """The smoothed dual graph: vertices are the 3-clauses, edges are direct
     variable sharings or chains of 2-clauses.  The edges are kept in order
-    of their endpoints' clause sort keys, the lesser first, then of their
-    labels.  Components made only of 2-clauses do not appear here."""
+    of their endpoints' clause sort keys, the lesser first; parallel edges
+    share both endpoints and their orientation, so nothing reads their
+    order.  Components made only of 2-clauses do not appear here."""
 
     vertices: frozenset
     edges: list
@@ -128,14 +129,13 @@ def build_multigraph(phi: Formula) -> ClauseMultigraph:
         for v in sorted({var_of(l) for l in phi.clauses[cidx]}):
             if (cidx, v) in seen_slots:
                 continue
-            end_idx, end_var, chain, _ = _walk(phi, cidx, v)
+            end_idx, end_var, _, _ = _walk(phi, cidx, v)
             if len(phi.clauses[end_idx]) != 3:
                 raise ReducerInvariantError("chain ended in a non-3-clause")
             seen_slots.add((cidx, v))
             seen_slots.add((end_idx, end_var))
-            label = ("chain", *(phi.clauses[i] for i in chain)) if chain else ("var", v)
-            key = (*sorted((phi.keys[cidx], phi.keys[end_idx])), label)
-            keyed.append((key, MultiEdge(phi.clauses[cidx], phi.clauses[end_idx], label)))
+            key = sorted((phi.keys[cidx], phi.keys[end_idx]))
+            keyed.append((key, MultiEdge(phi.clauses[cidx], phi.clauses[end_idx], v)))
     keyed.sort(key=lambda pair: pair[0])
     return ClauseMultigraph(frozenset(phi.clauses[i] for i in three), [e for _, e in keyed])
 
@@ -150,19 +150,11 @@ def _check_2cnf(clauses):
 
 
 def solve_2cnf(phi: Formula) -> int:
-    """Parity of a 2-CNF 2-occ formula in polynomial time: reduction consumes
-    path components; each cycle left at the fixpoint is settled by one walk
-    round it (``_break_cycle``)."""
+    """Parity of a 2-CNF 2-occ formula in polynomial time, by ``solve_occ2``:
+    its reduction consumes path components and its peel settles each cycle
+    left at the fixpoint by one walk round it (``_break_cycle``)."""
     _check_2cnf(phi.clauses)
-    check_occ2(phi)
-    out = reduce_formula(phi)
-    if out.parity is not None:
-        return out.parity
-    psi = out.formula
-    for comp in clause_components(psi):
-        if _break_cycle(psi, comp) == 0:
-            return 0
-    return 1
+    return solve_occ2(phi)
 
 
 def _break_cycle(phi: Formula, comp) -> int:
@@ -212,9 +204,8 @@ def eliminate_self_loops(phi: Formula) -> tuple[ReductionOutcome, ClauseMultigra
         if not g.self_loops:
             return out, g
         e = g.self_loops[0]
-        cidx = phi.clauses.index(e.u)
+        cidx, v = phi.clauses.index(e.u), e.label
         lits = {var_of(l): l for l in e.u}
-        v = var_of(next(l for l in e.label[1] if var_of(l) in lits))
         _, w, chain, t = _walk(phi, cidx, v)
         x, y = lits.pop(v), lits.pop(w)
         ((hinge, h),) = lits.items()
@@ -407,6 +398,7 @@ def bisection_solve(
     g: ClauseMultigraph,
     a: frozenset,
     b: frozenset,
+    s: list,
     tel: Telemetry,
     depth: int,
     cfg: Occ2Config,
@@ -414,9 +406,9 @@ def bisection_solve(
     last_side: str | None = None,
 ) -> int:
     """The bisection-guided solver: maintains a disjoint partition (a, b) of
-    the 3-clauses and branches on endpoints of partition-crossing edges of
-    g, phi's multigraph, alternating sides level by level; phi is at the
-    reducer's fixpoint."""
+    the 3-clauses and branches on endpoints of s, the edges of g (phi's
+    multigraph) that cross it, in g's order, alternating sides level by
+    level; phi is at the reducer's fixpoint."""
     if not a and b:
         # relabel the sides; last_side names the parent's side, so it
         # follows the relabelling and the alternation check stays valid
@@ -455,8 +447,6 @@ def bisection_solve(
             )
         # both sides are non-empty, so a re-call would pass the checks above
         a, b, s = part.a, part.b, part.cut
-    else:
-        s = crossing_edges(g, a, b)
     if not s:
         parity = 1
         tel.event({"kind": "divide", "depth": depth, "sides": [len(a), len(b)]})
@@ -468,7 +458,7 @@ def bisection_solve(
             # no edge leaves a component, so its edges are those at its 3-clauses
             g_sub = ClauseMultigraph(threes, [e for e in g.edges if e.u in threes])
             parity &= bisection_solve(
-                sub, g_sub, threes, frozenset(), tel, depth, cfg, pick_from_b, last_side
+                sub, g_sub, threes, frozenset(), [], tel, depth, cfg, pick_from_b, last_side
             )
             if parity == 0:
                 return 0
@@ -491,7 +481,7 @@ def bisection_solve(
     claimed = {"case": "dS>=2 or (dS=1, dSide>=3, dOther>=1)"}
 
     def reduce(child):
-        # a surviving child's core, with its sides, multigraph and cut
+        # a surviving child's core, multigraph, sides and cut: its bisection_solve arguments
         out = reduce_formula(child)
         if out.parity is not None:
             return out.parity, None
@@ -520,10 +510,7 @@ def bisection_solve(
     parity = 0
     for p, rest in children:  # each subtree is searched before the next child is reduced
         if p is None:
-            core, g_i, a_i, b_i, _ = rest
-            p = bisection_solve(
-                core, g_i, a_i, b_i, tel, depth + 1, cfg, not pick_from_b, side_name
-            )
+            p = bisection_solve(*rest, tel, depth + 1, cfg, not pick_from_b, side_name)
         parity ^= p
     return parity
 
@@ -598,7 +585,7 @@ def _solve_reduced(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) ->
         tel.leaf(depth, "occ2.settled")
         return parity
     core, g = prepared
-    return bisection_solve(core, g, g.vertices, frozenset(), tel, depth, cfg)
+    return bisection_solve(core, g, g.vertices, frozenset(), [], tel, depth, cfg)
 
 
 def solve_occ2(

@@ -71,3 +71,5 @@ def test_epsilon_prime():
     assert (3 - eps_p) * (1 / 6 + 1e-9) <= 0.5 - 1 / 16 + 1e-12
     # the slack shrinks as the base-case threshold grows but stays positive
     assert 0 < epsilon_prime(1000, 1e-9) < eps_p
+    with pytest.raises(ValueError, match="n_eps=0 is below 1"):
+        epsilon_prime(0)

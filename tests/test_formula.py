@@ -25,8 +25,9 @@ def F(nvars, *clauses):
 def test_canonical_clause_ordering():
     assert canonical_clause([-2, 1, 2]) == (1, 2, -2)
     assert canonical_clause([3, -1]) == (-1, 3)
-    with pytest.raises(ValueError):
-        canonical_clause([0])
+    for bad in ([0], [True]):
+        with pytest.raises(ValueError, match="bad literal"):
+            canonical_clause(bad)
 
 
 def test_formula_set_semantics():

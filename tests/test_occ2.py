@@ -72,8 +72,6 @@ def test_multigraph_of_ring_formula():
     g = build_multigraph(phi)
     assert len(g.vertices) == 4 == phi.m3
     assert len(g.edges) == 6
-    kinds = sorted(e.label[0] for e in g.edges)
-    assert kinds == ["chain", "chain", "var", "var", "var", "var"]
     for v in g.vertices:
         assert sum((e.u == v) + (e.v == v) for e in g.edges) == 3
     assert not g.self_loops
@@ -102,8 +100,7 @@ def test_multigraph_edges_follow_the_clause_order():
     from xparity.formula import clause_sort_key
 
     def edge_key(e):
-        ku, kv = sorted((clause_sort_key(e.u), clause_sort_key(e.v)))
-        return ku, kv, e.label
+        return sorted((clause_sort_key(e.u), clause_sort_key(e.v)))
 
     graphs = []
     for seed in range(60):
@@ -375,6 +372,13 @@ def test_occ2_forced_bisection_machinery():
         phi = gen_random_docc(6 + seed % 12, 2, 2, 3, seed=seed)
         tel = Telemetry(strict=True)
         assert solve_occ2(phi, tel, cfg) == brute_parity(phi), seed
+
+
+def test_occ2_refuses_n_eps_zero_at_its_first_rebisection():
+    # 12 variables and 8 3-clauses: past the brute-force cap, so it bisects
+    phi = cubic_edge_cover(random.Random(0), 8)
+    with pytest.raises(ValueError, match="n_eps=0 is below 1"):
+        solve_occ2(phi, Telemetry(strict=True), Occ2Config(n_eps=0))
 
 
 def test_branch_4plus_survivor_family():

@@ -1,14 +1,17 @@
 """The solvers against ``perfbench/refcount.py`` at the scale where their
 machinery runs, past the brute-force cap: ``solve_occ2`` on long signed
 2-CNF cycles, which the transfer-matrix walk settles, and cubic edge
-covers, which bisect; ``solve_length`` and ``solve_docc`` on 36-52
-variable families that take ``solve_length`` through steps 1 to 5.2.
+covers, which bisect (and, at n_eps = 2, rebisect below the root);
+``solve_length`` and ``solve_docc`` on 36-52 variable families that take
+``solve_length`` through steps 1 to 5.2.
 
 refcount counts models modulo 2 by variable elimination over GF(2) and
 shares no code with the solvers; it is imported read-only from the
 benchmark directory.  It needs numpy (the ``test`` extra).
 """
 
+import io
+import json
 import os
 import random
 import sys
@@ -21,7 +24,7 @@ from xparity.docc import solve_docc
 from xparity.formula import Formula
 from xparity.generators import gen_random_docc
 from xparity.length import solve_length
-from xparity.occ2 import solve_occ2
+from xparity.occ2 import Occ2Config, solve_occ2
 from xparity.telemetry import Telemetry
 from xparity.verify import circulant_triples, positive_3regular
 
@@ -74,10 +77,24 @@ def test_signed_cycle_sets(seed):
     assert solve_occ2(phi, Telemetry(strict=True)) == want
 
 
-@pytest.mark.parametrize("vertices, seed", [(40, 0), (40, 1), (60, 2), (60, 3), (80, 4)])
-def test_cubic_edge_covers(vertices, seed):
+CUBIC_COVERS = [(40, 0), (40, 1), (60, 2), (60, 3), (80, 4)]
+
+
+@pytest.mark.parametrize(
+    "vertices, seed, n_eps",
+    [(v, s, 16) for v, s in CUBIC_COVERS] + [(v, s, 2) for v, s in CUBIC_COVERS],
+    ids=[f"{v}-{s}" for v, s in CUBIC_COVERS] + [f"{v}-{s}-n_eps2" for v, s in CUBIC_COVERS],
+)
+def test_cubic_edge_covers(vertices, seed, n_eps):
+    # at n_eps = 2 the larger covers rebisect below the root, so the
+    # rebisection route is checked against the reference count too
     phi = cubic_edge_cover(random.Random(seed), vertices)
-    assert solve_occ2(phi, Telemetry(strict=True)) == reference(phi)
+    sink = io.StringIO()
+    tel = Telemetry(sink=sink, strict=True)
+    assert solve_occ2(phi, tel, Occ2Config(n_eps=n_eps)) == reference(phi)
+    if n_eps == 2 and vertices >= 60:
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert any(r["kind"] == "rebisect" and r["depth"] > 0 for r in events)
 
 
 def signed_4regular(seed: int) -> Formula:
