@@ -217,7 +217,7 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all
 
-    results = run_all(quick=args.quick, report=print)
+    results = run_all(quick=args.quick)
     return 0 if all(ok for _, ok, _ in results) else 2
 
 

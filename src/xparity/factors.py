@@ -8,6 +8,8 @@ computed, which is all the desk-scale checks need.
 
 from __future__ import annotations
 
+EPS = 1e-9  # the epsilon of the (1/6 + eps) cut bound
+
 
 def tau(*vector: float) -> float:
     if not vector:
@@ -34,12 +36,10 @@ def tau(*vector: float) -> float:
     return (lo + hi) / 2
 
 
-def epsilon_prime(n_eps: int, eps: float = 1e-9) -> float:
-    """Least eps' with (3 - eps')(1/6 + eps) <= 1/2 - 1/n_eps, the slack
-    that makes rebisection measure-safe; every larger eps' satisfies it too."""
+def epsilon_prime(n_eps: int) -> float:
+    """Least eps' with (3 - eps')(1/6 + EPS) <= 1/2 - 1/n_eps, the slack
+    that makes rebisection measure-safe; every larger eps' satisfies it too.
+    It is positive: 1/2 - 1/n_eps < 3 (1/6 + EPS)."""
     if n_eps < 1:
         raise ValueError(f"n_eps={n_eps} is below 1")
-    val = 3.0 - (0.5 - 1.0 / n_eps) / (1.0 / 6.0 + eps)
-    if val <= 0:
-        raise ValueError(f"no positive eps' exists for n_eps={n_eps}")
-    return val
+    return 3.0 - (0.5 - 1.0 / n_eps) / (1.0 / 6.0 + EPS)

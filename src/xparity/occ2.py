@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .branching import clause_branch, settle_children
-from .factors import epsilon_prime
+from .factors import EPS, epsilon_prime
 from .formula import Formula, clause_sort_key, var_of
 from .oracle import brute_parity
 from .reducer import (
@@ -27,7 +27,6 @@ from .reducer import (
 )
 from .telemetry import Telemetry
 
-EPS = 1e-9  # the epsilon of the (1/6 + eps) cut bound
 EXHAUSTIVE_BISECT_BELOW = 13  # bisect exhaustively up to this many vertices
 KL_RESTARTS = 6  # seeded Kernighan-Lin restarts above that size
 
@@ -329,7 +328,7 @@ class Occ2Config:
 
     @property
     def eps_prime(self) -> float:
-        return epsilon_prime(self.n_eps, EPS)
+        return epsilon_prime(self.n_eps)
 
 
 def rho_measure(a, b, s_count: int, eps_prime: float) -> float:
@@ -402,18 +401,17 @@ def bisection_solve(
     tel: Telemetry,
     depth: int,
     cfg: Occ2Config,
-    pick_from_b: bool = False,
     last_side: str | None = None,
 ) -> int:
     """The bisection-guided solver: maintains a disjoint partition (a, b) of
     the 3-clauses and branches on endpoints of s, the edges of g (phi's
-    multigraph) that cross it, in g's order, alternating sides level by
-    level; phi is at the reducer's fixpoint."""
+    multigraph) that cross it, in g's order, on the side last_side (the
+    parent's) does not name, A at the root; phi is at the reducer's
+    fixpoint."""
     if not a and b:
         # relabel the sides; last_side names the parent's side, so it
-        # follows the relabelling and the alternation check stays valid
+        # follows the relabelling
         a, b = b, a
-        pick_from_b = not pick_from_b
         last_side = {"A": "B", "B": "A"}.get(last_side)
     if phi.m3 <= cfg.n_eps:
         return _base_solve(phi, tel, depth)
@@ -458,19 +456,18 @@ def bisection_solve(
             # no edge leaves a component, so its edges are those at its 3-clauses
             g_sub = ClauseMultigraph(threes, [e for e in g.edges if e.u in threes])
             parity &= bisection_solve(
-                sub, g_sub, threes, frozenset(), [], tel, depth, cfg, pick_from_b, last_side
+                sub, g_sub, threes, frozenset(), [], tel, depth, cfg, last_side
             )
             if parity == 0:
                 return 0
         return parity
 
     edge = s[0]  # the least crossing edge: s keeps g's edge order
-    side_set, side_name = (b, "B") if pick_from_b else (a, "A")
+    from_b = last_side == "A"
+    side_set, side_name = (b, "B") if from_b else (a, "A")
     pivot = edge.u if edge.u in side_set else edge.v
     if pivot not in side_set:
         raise ReducerInvariantError("crossing edge misses the designated side")
-    if last_side is not None and side_name == last_side:
-        raise ReducerInvariantError("branch sides failed to alternate")
     tel.node(
         depth,
         "occ2.bisect-branch",
@@ -498,7 +495,7 @@ def bisection_solve(
             return claimed, observed, True, f"side {side_name}; child settled outright"
         _, _, a_i, b_i, s_i = rest
         d_a, d_b, d_s = len(a) - len(a_i), len(b) - len(b_i), len(s) - len(s_i)
-        d_side, d_other = (d_b, d_a) if pick_from_b else (d_a, d_b)
+        d_side, d_other = (d_b, d_a) if from_b else (d_a, d_b)
         rho_drop = round(rho_parent - rho_measure(a_i, b_i, len(s_i), cfg.eps_prime), 6)
         observed = {"dA": d_a, "dB": d_b, "dS": d_s, "rho_drop": rho_drop}
         passed = d_s >= 2 or (d_s == 1 and d_side >= 3 and d_other >= 1)
@@ -510,7 +507,7 @@ def bisection_solve(
     parity = 0
     for p, rest in children:  # each subtree is searched before the next child is reduced
         if p is None:
-            p = bisection_solve(*rest, tel, depth + 1, cfg, not pick_from_b, side_name)
+            p = bisection_solve(*rest, tel, depth + 1, cfg, side_name)
         parity ^= p
     return parity
 
@@ -521,15 +518,7 @@ def bisection_solve(
 def _branch_4plus(psi: Formula, tel: Telemetry, depth: int, cfg: Occ2Config) -> int:
     pivot = max(psi.clauses, key=len)  # max keeps the first: the least longest clause
     pvars = {var_of(l) for l in pivot}
-    neighbor_idx = sorted(
-        {
-            cidx
-            for v in pvars
-            for cidx, _ in psi.occ[v]
-            if psi.clauses[cidx] != pivot
-        }
-    )
-    neighbors = [psi.clauses[i] for i in neighbor_idx]
+    neighbors = {psi.clauses[cidx] for v in pvars for cidx, _ in psi.occ[v]} - {pivot}
     nb_all_vars = pvars | {var_of(l) for c in neighbors for l in c}
     ext2 = {
         var_of(l)

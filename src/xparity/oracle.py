@@ -8,6 +8,7 @@ space; counts are exact arbitrary-precision ints.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from .formula import Formula, var_of
 
@@ -19,15 +20,10 @@ class CapExceeded(Exception):
 VAR_CAP = 24  # variables of a formula
 SET_CAP = 20  # universe or family of a set system, edges or vertices of a graph
 
-# bit patterns: _pattern(i) has bit a set iff (a >> i) & 1, over 2**width bits
-_pattern_cache: dict[tuple[int, int], int] = {}
 
-
+@functools.cache
 def _pattern(i: int, width: int) -> int:
-    key = (i, width)
-    got = _pattern_cache.get(key)
-    if got is not None:
-        return got
+    """Bit pattern with bit a set iff (a >> i) & 1, over 2**width bits."""
     block = 1 << i
     p = ((1 << block) - 1) << block
     span = block * 2
@@ -35,7 +31,6 @@ def _pattern(i: int, width: int) -> int:
     while span < total:
         p |= p << span
         span *= 2
-    _pattern_cache[key] = p
     return p
 
 

@@ -63,6 +63,7 @@ from .formula import (
 from .oracle import brute_parity
 
 SUBFORMULA_VAR_CAP = 10  # threshold from the isolate/semi-isolate rules
+SUBSET_ENUMERATION_LIMIT = 500_000  # connected subsets the property report may list
 
 _clause_index = itemgetter(0)  # of an occurrence entry (clause index, literal)
 
@@ -557,10 +558,10 @@ class PropertyReport:
         return all(self.results.values())
 
 
-def _connected_subsets_within_cap(phi: Formula, cap: int, limit: int = 500_000):
-    """All connected, non-empty, proper clause subsets with at most ``cap``
-    variables.  Variable count grows monotonically with the subset, so
-    pruning at the cap is exact."""
+def _connected_subsets_within_cap(phi: Formula):
+    """All connected, non-empty, proper clause subsets with at most
+    SUBFORMULA_VAR_CAP variables.  Variable count grows monotonically with
+    the subset, so pruning at the cap is exact."""
     m = phi.m
     adj: list[set] = [set() for _ in range(m)]
     for occs in phi.occ.values():
@@ -574,14 +575,14 @@ def _connected_subsets_within_cap(phi: Formula, cap: int, limit: int = 500_000):
     seen = set()
     for start in range(m):
         base = frozenset((start,))
-        if len(varsets[start]) > cap:
+        if len(varsets[start]) > SUBFORMULA_VAR_CAP:
             continue
         stack = [(base, varsets[start])]
         seen.add(base)
         while stack:
             subset, vs = stack.pop()
             out.append((subset, vs))
-            if len(out) > limit:
+            if len(out) > SUBSET_ENUMERATION_LIMIT:
                 raise ReducerInvariantError("subformula enumeration exploded")
             for c in subset:
                 for nb in adj[c]:
@@ -593,7 +594,7 @@ def _connected_subsets_within_cap(phi: Formula, cap: int, limit: int = 500_000):
                         continue
                     seen.add(nxt)
                     nvs = vs | varsets[nb]
-                    if len(nvs) <= cap:
+                    if len(nvs) <= SUBFORMULA_VAR_CAP:
                         stack.append((nxt, nvs))
     return [(s, v) for s, v in out if len(s) < m]
 
@@ -621,7 +622,7 @@ def check_reduced_properties(phi: Formula) -> PropertyReport:
         ),
         "p5_small_subformula_interface": (
             (sorted(subset), sorted(shared))
-            for subset, vs in _connected_subsets_within_cap(phi, SUBFORMULA_VAR_CAP)
+            for subset, vs in _connected_subsets_within_cap(phi)
             if len(shared := {v for v in vs if any(i not in subset for i, _ in phi.occ[v])}) < 2
         ),
     }

@@ -18,12 +18,12 @@ class LedgerViolation(AssertionError):
     """An observed measure drop fell short of the analysis-claimed bound."""
 
 
-def _plain(value):
+def _fraction_pair(value):
+    """``json.dumps``'s hook for what it cannot encode: a Fraction becomes
+    [numerator, denominator]."""
     if isinstance(value, Fraction):
         return [value.numerator, value.denominator]
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 class Ledger:
@@ -95,8 +95,8 @@ class Telemetry:
                     "kind": "ledger",
                     "step": step,
                     "child": child,
-                    "claimed": {k: _plain(v) for k, v in claimed.items()},
-                    "observed": {k: _plain(v) for k, v in observed.items()},
+                    "claimed": claimed,
+                    "observed": observed,
                     "passed": passed,
                     "resolved": resolved,
                     "note": note,
@@ -110,7 +110,8 @@ class Telemetry:
     def event(self, record: dict):
         """Stream one JSON-lines record to the sink, if there is one."""
         if self.sink is not None:
-            self.sink.write(json.dumps(record, separators=(",", ":")) + "\n")
+            line = json.dumps(record, separators=(",", ":"), default=_fraction_pair)
+            self.sink.write(line + "\n")
 
     # -- summaries --------------------------------------------------------------
 

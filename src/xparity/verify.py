@@ -433,17 +433,13 @@ def _all_graphs_upto(max_n: int):
             yield nv, edges
 
 
-def _connected_no_isolated(nv, edges) -> bool:
-    if nv == 0:
-        return False
+def _connected(nv, edges) -> bool:
+    """Whether the graph on vertices 1..nv is connected; past one vertex,
+    that leaves no vertex isolated."""
     adj = {v: set() for v in range(1, nv + 1)}
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    if any(not adj[v] for v in adj) and nv > 1:
-        return False
-    if nv == 1:
-        return not edges
     stack, seen = [1], {1}
     while stack:
         for w in adj[stack.pop()]:
@@ -470,7 +466,7 @@ def criterion_7_parity_identities(quick: bool = False):
     # exhaustive over all labeled connected graphs with <= 6 vertices; beyond
     # that labeled enumeration explodes, so 7..12 is covered by sampling
     for nv, edges in _all_graphs_upto(4 if quick else 6):
-        if not _connected_no_isolated(nv, edges):
+        if not _connected(nv, edges):
             continue
         g = SimpleGraph(range(1, nv + 1), edges)
         if not _cover_counts_agree(g):
@@ -577,7 +573,7 @@ CRITERIA = [
 ]
 
 
-def run_all(quick: bool = False, report=None):
+def run_all(quick: bool = False):
     results = []
     total0 = time.time()
     for name, fn in CRITERIA:
@@ -585,9 +581,7 @@ def run_all(quick: bool = False, report=None):
         ok, detail = fn(quick=quick)
         elapsed = time.time() - t0
         results.append((name, ok, detail))
-        if report is not None:
-            status = "PASS" if ok else "FAIL"
-            report(f"criterion {name}: {status} ({elapsed:.1f}s) -- {detail}")
-    if report is not None:
-        report(f"total: {time.time() - total0:.1f}s")
+        status = "PASS" if ok else "FAIL"
+        print(f"criterion {name}: {status} ({elapsed:.1f}s) -- {detail}")
+    print(f"total: {time.time() - total0:.1f}s")
     return results

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -7,9 +8,9 @@ from test_occ2 import cubic_edge_cover
 from xparity import cli
 from xparity.cli import main
 from xparity.dimacs import parse_dimacs, write_dimacs
-from xparity.generators import gen_random_docc
+from xparity.generators import gen_edge_cover_formula, gen_random_docc, random_graph
 from xparity.occ2 import solve_occ2
-from xparity.oracle import brute_parity
+from xparity.oracle import SimpleGraph, brute_parity
 from xparity.reducer import ReducerInvariantError
 from xparity.telemetry import LedgerViolation
 
@@ -235,3 +236,50 @@ def test_seed_reaches_the_dual_solves_of_docc(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "solve", "--input", path, "--solver", "docc", "--seed", "7")
     assert code == 0 and out.startswith(f"parity: {brute_parity(phi)}\n"), out
     assert configs and all(c == Occ2Config(seed=7) for c in configs), configs
+
+
+def test_solve_reads_stdin_and_reports_wall_time(capsys, monkeypatch):
+    phi = gen_random_docc(10, 2, 2, 3, seed=7)
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_dimacs(phi)))
+    code, out, _ = run(capsys, "solve", "--input", "-", "--timing")
+    assert code == 0 and out.startswith(f"parity: {brute_parity(phi)}\n")
+    (wall,) = [l for l in out.splitlines() if l.startswith("wall_ms: ")]
+    assert float(wall.split()[1]) >= 0
+
+
+def test_oracle_check_skips_past_the_cap(tmp_path, capsys):
+    phi = cubic_edge_cover(random.Random(0), 20)
+    assert phi.n == 30
+    code, out, _ = run(capsys, "solve", "--input", write_instance(tmp_path, phi), "--oracle-check")
+    assert code == 0 and out.startswith(f"parity: {solve_occ2(phi)}\n")
+    assert "oracle: skipped (30 variables exceeds oracle cap 24)" in out
+
+
+def test_oracle_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+    phi = gen_random_docc(10, 2, 2, 3, seed=7)
+    want = brute_parity(phi)
+    monkeypatch.setattr(cli, "_run_solver", lambda *_: 1 - want)
+    code, out, _ = run(capsys, "solve", "--input", write_instance(tmp_path, phi), "--oracle-check")
+    assert code == 1
+    assert f"oracle: MISMATCH (oracle {want}, solver {1 - want})" in out
+
+
+def test_gen_writes_output_file(tmp_path, capsys):
+    path = tmp_path / "out.cnf"
+    code, out, _ = run(capsys, "gen", "--n", "10", "--seed", "7", "--output", str(path))
+    assert code == 0 and out == ""
+    assert parse_dimacs(path.read_text()) == gen_random_docc(10, 2, 2, 3, seed=7)
+
+
+@pytest.mark.parametrize(
+    "spec, graph",
+    [
+        ("path:4", SimpleGraph(range(1, 5), [(1, 2), (2, 3), (3, 4)])),
+        ("cycle:5", SimpleGraph(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])),
+        ("random:8,0.5", random_graph(8, 0.5, 3)),
+    ],
+)
+def test_gen_edge_cover_graph_specs(spec, graph, capsys):
+    code, out, _ = run(capsys, "gen", "--family", "edge-cover", "--graph", spec, "--seed", "3")
+    assert code == 0
+    assert parse_dimacs(out) == gen_edge_cover_formula(graph)

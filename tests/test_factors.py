@@ -66,10 +66,10 @@ def test_fibonacci_increases_to_two():
 
 
 def test_epsilon_prime():
-    eps_p = epsilon_prime(16, 1e-9)
+    eps_p = epsilon_prime(16)
     assert 0 < eps_p < 3
     assert (3 - eps_p) * (1 / 6 + 1e-9) <= 0.5 - 1 / 16 + 1e-12
     # the slack shrinks as the base-case threshold grows but stays positive
-    assert 0 < epsilon_prime(1000, 1e-9) < eps_p
+    assert 0 < epsilon_prime(1000) < eps_p
     with pytest.raises(ValueError, match="n_eps=0 is below 1"):
         epsilon_prime(0)

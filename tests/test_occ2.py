@@ -509,3 +509,28 @@ def test_prepare_reuses_the_split_of_the_reduction_before_it(monkeypatch):
         assert solve_occ2(phi, config=Occ2Config(n_eps=4)) == truth
         assert len({id(psi) for psi in searched}) == len(searched)
     assert len(in_prepare) > 2 and in_prepare[0] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 2, 7, 10, 12, 15, 17, 21, 25])
+def test_prepare_peels_cycles_and_keeps_the_core(seed, monkeypatch):
+    # a cubic edge cover (variables 1-12) beside an odd signed 11-cycle
+    # (13-23), too long for R12: _prepare peels the cycle and returns the
+    # cover's clauses as the core, which the base solver then branches on
+    from test_cycle_walk import cycle_clauses
+
+    from xparity.length import solve_length
+
+    prepared = []
+    prepare = occ2._prepare
+    monkeypatch.setattr(occ2, "_prepare", lambda *a: prepared.append(prepare(*a)) or prepared[-1])
+    rng = random.Random(seed)
+    cover = cubic_edge_cover(rng, 8).clauses
+    phi = Formula(range(1, 24), [*map(list, cover), *cycle_clauses(rng, list(range(13, 24)))])
+    sink = io.StringIO()
+    parity = solve_occ2(phi, Telemetry(sink=sink, strict=True))
+    assert parity == brute_parity(phi) == solve_length(phi)
+    first, second = records(sink)[:2]
+    assert (first["kind"], first["node"], first["depth"]) == ("leaf", "occ2.2cnf-peel", 0)
+    assert second["kind"] == "node"
+    core, _ = prepared[0][1]
+    assert core.m3 and max(core.variables) <= 12

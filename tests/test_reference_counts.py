@@ -20,11 +20,14 @@ import pytest
 
 from test_cycle_walk import cycle_clauses
 from test_occ2 import cubic_edge_cover
+from xparity import occ2
+from xparity.dimacs import parse_dimacs
 from xparity.docc import solve_docc
 from xparity.formula import Formula
 from xparity.generators import gen_random_docc
 from xparity.length import solve_length
 from xparity.occ2 import Occ2Config, solve_occ2
+from xparity.reducer import clause_components
 from xparity.telemetry import Telemetry
 from xparity.verify import circulant_triples, positive_3regular
 
@@ -32,7 +35,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 )
 import refcount  # noqa: E402
-from workloads import regular_clauses  # noqa: E402
+from workloads import make_instance, regular_clauses  # noqa: E402
 
 
 def reference(phi: Formula) -> int:
@@ -95,6 +98,26 @@ def test_cubic_edge_covers(vertices, seed, n_eps):
     if n_eps == 2 and vertices >= 60:
         events = [json.loads(line) for line in sink.getvalue().splitlines()]
         assert any(r["kind"] == "rebisect" and r["depth"] > 0 for r in events)
+
+
+@pytest.mark.parametrize("index", [3, 24])
+def test_base_solve_splits_into_odd_components(index, monkeypatch):
+    # instances 3 and 24 of the seed-3 occ2-cubic pool reach a base-solver
+    # formula that splits into components, each of them odd, at n_eps = 16
+    splits = []
+    base = occ2._base_solve
+
+    def counted(psi, tel, depth):
+        parity = base(psi, tel, depth)
+        if psi.m3 and len(clause_components(psi)) > 1 and parity == 1:
+            splits.append(n_eps)
+        return parity
+
+    monkeypatch.setattr(occ2, "_base_solve", counted)
+    phi = parse_dimacs(make_instance("occ2-cubic", 3, index).dimacs())
+    for n_eps in (16, 2):
+        assert solve_occ2(phi, Telemetry(strict=True), Occ2Config(n_eps=n_eps)) == reference(phi)
+    assert 16 in splits
 
 
 def signed_4regular(seed: int) -> Formula:
