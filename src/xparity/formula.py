@@ -16,6 +16,7 @@ clauses it adds get new ones.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterable
 
 
@@ -32,14 +33,20 @@ def _lit_key(lit: Literal) -> int:
     return 2 * lit if lit > 0 else 1 - 2 * lit
 
 
-def canonical_clause(literals: Iterable[Literal]) -> Clause:
-    """Order literals canonically.  Duplicates are kept: removing them is
-    the reducer's job, not the representation's."""
-    lits = tuple(sorted(literals, key=_lit_key))
+def _check_literals(lits: Iterable) -> None:
+    """Refuse the first item that is not a non-zero int."""
     for lit in lits:
         if type(lit) is not int or lit == 0:  # bool is an int, but not a literal
             raise ValueError(f"bad literal {lit!r}")
-    return lits
+
+
+def canonical_clause(literals: Iterable[Literal]) -> Clause:
+    """Order literals canonically.  Duplicates are kept: removing them is
+    the reducer's job, not the representation's."""
+    lits = list(literals)
+    _check_literals(lits)
+    lits.sort(key=_lit_key)
+    return tuple(lits)
 
 
 def clause_sort_key(clause: Clause) -> tuple:
@@ -66,11 +73,19 @@ class Formula:
     __slots__ = ("variables", "clauses", "keys", "sets", "occ", "_incidence", "_base")
 
     def __init__(self, variables: Iterable[int], clauses: Iterable[Iterable[Literal]]):
-        # dedupe, then sort once on the decorated keys for deterministic
-        # iteration and hashing; the keys are injective, so no two tie
-        decorated = sorted({(clause_sort_key(c), c) for c in map(canonical_clause, clauses)})
-        object.__setattr__(self, "keys", tuple(k for k, _ in decorated))
-        object.__setattr__(self, "clauses", tuple(c for _, c in decorated))
+        clauses = list(map(tuple, clauses))
+        _check_literals(chain.from_iterable(clauses))
+        # a clause's key is its literals' _lit_key values in ascending
+        # order, so deduplicating and sorting the keys orders the clauses,
+        # and each key decodes back to its canonical clause: 2v -> v,
+        # 2v+1 -> -v
+        keys = sorted({tuple(sorted([2 * l if l > 0 else 1 - 2 * l for l in c])) for c in clauses})
+        object.__setattr__(self, "keys", tuple(keys))
+        object.__setattr__(
+            self,
+            "clauses",
+            tuple([tuple([-(k >> 1) if k & 1 else k >> 1 for k in key]) for key in keys]),
+        )
         object.__setattr__(self, "sets", tuple(map(frozenset, self.clauses)))
         object.__setattr__(self, "_base", None)
         vs = frozenset(variables)

@@ -62,9 +62,12 @@ class ClauseMultigraph:
 
 
 def check_occ2(phi: Formula):
-    for v in phi.variables:
-        if phi.degree(v) > 2:
-            raise ContractViolation(f"variable {v} occurs {phi.degree(v)} times; need <= 2")
+    # one pass over the occurrence list lengths; the loop only names the
+    # offender
+    if max(map(len, phi.occ.values()), default=0) > 2:
+        for v in phi.variables:
+            if phi.degree(v) > 2:
+                raise ContractViolation(f"variable {v} occurs {phi.degree(v)} times; need <= 2")
 
 
 def _walk(phi: Formula, cidx: int, v: int):
@@ -116,12 +119,17 @@ def build_multigraph(phi: Formula) -> ClauseMultigraph:
     """Requires every variable to have degree exactly 2 and clause lengths in
     {2, 3} (the shape reduction guarantees on 2-occ input)."""
     three = [i for i, c in enumerate(phi.clauses) if len(c) == 3]
-    for i, c in enumerate(phi.clauses):
-        if len(c) not in (2, 3):
-            raise ContractViolation(f"clause {c} has length {len(c)}")
-    for v in phi.variables:
-        if phi.degree(v) != 2:
-            raise ContractViolation(f"variable {v} has degree {phi.degree(v)}; want exactly 2")
+    # one pass over the lengths each; the loops only name the offender
+    if not set(map(len, phi.clauses)) <= {2, 3}:
+        for c in phi.clauses:
+            if len(c) not in (2, 3):
+                raise ContractViolation(f"clause {c} has length {len(c)}")
+    # the variables that occur are the keys of occ, so all have degree 2
+    # when there are n keys, each with two occurrences
+    if len(phi.occ) != phi.n or not set(map(len, phi.occ.values())) <= {2}:
+        for v in phi.variables:
+            if phi.degree(v) != 2:
+                raise ContractViolation(f"variable {v} has degree {phi.degree(v)}; want exactly 2")
     keyed = []  # (sort key, edge); the keys are the formula's own
     seen_slots = set()
     for cidx in three:

@@ -147,8 +147,15 @@ def _r4(phi: Formula, scope=None):
     In the production order R1 has ruled out an empty clause before a
     scope is given; a rule order that runs R4 first scans in full."""
     sets = phi.sets
+    if scope is None:
+        # a clause of the greatest length has no proper superset, so a full
+        # scan skips those
+        top = max(map(len, sets), default=0)
+        candidates = itertools.compress(itertools.count(), map(top.__gt__, map(len, sets)))
+    else:
+        candidates = scope
     pairs = []
-    for i, _ in _scoped(phi, scope):
+    for i in candidates:
         j = _first_superset(phi, i)
         if j is not None:
             pairs.append((i, j))
@@ -299,10 +306,11 @@ def clause_components(phi: Formula) -> tuple:
 
 
 def _incidence(phi: Formula) -> tuple:
-    """(components, hinge) from one iterative articulation-point DFS
-    (Hopcroft-Tarjan) over the variable-clause incidence graph, kept on
-    the formula so that R12, R13 and the solvers share one search.  Each
-    DFS tree, rooted at its smallest clause, gives a component.
+    """(components, their variable counts, hinge) from one iterative
+    articulation-point DFS (Hopcroft-Tarjan) over the variable-clause
+    incidence graph, kept on the formula so that R12, R13 and the solvers
+    share one search.  Each DFS tree, rooted at its smallest clause, gives
+    a component.
 
     hinge is R13's: None, or (x, side) with x the smallest cut variable
     that separates a side of at most SUBFORMULA_VAR_CAP variables, x
@@ -331,6 +339,7 @@ def _incidence(phi: Formula) -> tuple:
     seps = {}  # cut variable -> its separated child subtrees
     cuts = []  # the keys of seps, in order of discovery
     components = []
+    counts = []
     best = None  # (x, its vertex, its component, variables in the rest)
     for root in range(m):
         if disc[root]:
@@ -367,6 +376,7 @@ def _incidence(phi: Formula) -> tuple:
                         seps.setdefault(p, []).append(u)
         comp = tuple(sorted(v for v in order[disc[root] - 1 :] if v < m))
         components.append(comp)
+        counts.append(nvars[root])
         for w in cuts[first_cut:]:
             x = variables[w - m]
             if best is None or x < best[0]:
@@ -389,7 +399,7 @@ def _incidence(phi: Formula) -> tuple:
                 if nvars[c] < SUBFORMULA_VAR_CAP
             )
         hinge = (x, side)
-    found = (tuple(components), hinge)
+    found = (tuple(components), tuple(counts), hinge)
     object.__setattr__(phi, "_incidence", found)
     return found
 
@@ -402,14 +412,14 @@ def subformula(phi: Formula, clause_idxs) -> Formula:
 
 
 def _r12(phi: Formula):
-    comps = clause_components(phi)
+    comps, counts, _ = _incidence(phi)
     if len(comps) < 2:
         return None
     clauses = phi.clauses
-    for comp in comps:
-        # count first: only a component within the cap is worth deriving
-        vs = {var_of(l) for i in comp for l in clauses[i]}
-        if len(vs) <= SUBFORMULA_VAR_CAP:
+    for comp, count in zip(comps, counts):
+        # only a component within the cap is worth deriving
+        if count <= SUBFORMULA_VAR_CAP:
+            vs = {var_of(l) for i in comp for l in clauses[i]}
             if brute_parity(subformula(phi, comp)) == 0:
                 return ("verdict", f"isolated subformula {list(comp)} has even parity")
             return (
@@ -421,7 +431,7 @@ def _r12(phi: Formula):
 
 
 def _r13(phi: Formula):
-    hinge = _incidence(phi)[1]
+    hinge = _incidence(phi)[2]
     if hinge is None:
         return None
     x, side = hinge

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from xparity.branching import clause_branch, simple_branch, variable_branch
 from xparity.formula import (
     Formula,
+    _lit_key,
     assign_literal,
     canonical_clause,
     clause_sort_key,
@@ -28,6 +29,80 @@ def test_canonical_clause_ordering():
     for bad in ([0], [True]):
         with pytest.raises(ValueError, match="bad literal"):
             canonical_clause(bad)
+
+
+def test_literals_are_checked_before_sorting():
+    # a sort key on a str or None would raise TypeError first
+    for clause, message in ((["1", 2], "bad literal '1'"), ([1, None], "bad literal None")):
+        with pytest.raises(ValueError) as err:
+            canonical_clause(clause)
+        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        Formula([1, 2], [["1"]])
+    assert str(err.value) == "bad literal '1'"
+    with pytest.raises(ValueError) as err:
+        Formula([1, 2], [[1], [2, None]])
+    assert str(err.value) == "bad literal None"
+
+
+def oracle_canonical_clause(literals):
+    """canonical_clause before it checked literals first, kept verbatim as
+    an oracle."""
+    lits = tuple(sorted(literals, key=_lit_key))
+    for lit in lits:
+        if type(lit) is not int or lit == 0:  # bool is an int, but not a literal
+            raise ValueError(f"bad literal {lit!r}")
+    return lits
+
+
+def oracle_slots(variables, clauses):
+    """The constructor's canonicalising body before it worked on the keys
+    alone, kept verbatim as an oracle, plus the occurrence index."""
+    # dedupe, then sort once on the decorated keys for deterministic
+    # iteration and hashing; the keys are injective, so no two tie
+    decorated = sorted({(clause_sort_key(c), c) for c in map(oracle_canonical_clause, clauses)})
+    keys = tuple(k for k, _ in decorated)
+    clauses = tuple(c for _, c in decorated)
+    occ = {}
+    for idx, clause in enumerate(clauses):
+        for lit in clause:
+            occ.setdefault(abs(lit), []).append((idx, lit))
+    return frozenset(variables), clauses, keys, tuple(map(frozenset, clauses)), occ, None, None
+
+
+def raw_clause_lists(n=6):
+    """Clause lists as a caller may hand them over: unsorted, with repeated
+    and complementary literals, repeated clauses, lists or tuples."""
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.one_of(st.lists(lit, max_size=5), st.lists(lit, max_size=5).map(tuple))
+    return st.lists(clause, max_size=12).flatmap(
+        lambda cs: st.lists(st.sampled_from(cs), max_size=4).map(lambda extra: cs + extra)
+        if cs
+        else st.just(cs)
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw_clause_lists())
+def test_constructor_matches_the_canonicalising_oracle(clauses):
+    got = Formula(range(1, 7), clauses)
+    assert tuple(getattr(got, name) for name in Formula.__slots__) == oracle_slots(
+        range(1, 7), clauses
+    )
+    assert all(type(l) is int for c in got.clauses for l in c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_clause_lists(), st.sampled_from([0, True, 1.5]), st.data())
+def test_constructor_refuses_a_bad_literal_like_the_oracle(clauses, bad, data):
+    clauses = [list(c) for c in clauses] or [[]]
+    clause = data.draw(st.sampled_from(clauses))
+    clause.insert(data.draw(st.integers(0, len(clause))), bad)
+    with pytest.raises(ValueError) as want:
+        oracle_slots(range(1, 7), clauses)
+    with pytest.raises(ValueError) as got:
+        Formula(range(1, 7), clauses)
+    assert str(got.value) == str(want.value) == f"bad literal {bad!r}"
 
 
 def test_formula_set_semantics():

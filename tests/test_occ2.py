@@ -17,6 +17,7 @@ from xparity.occ2 import (
     Occ2Config,
     bisect_multigraph,
     build_multigraph,
+    check_occ2,
     crossing_edges,
     eliminate_self_loops,
     solve_2cnf,
@@ -58,6 +59,19 @@ def test_contract_rejects_high_degree():
     phi = Formula([1, 2], [[1, 2], [1], [-1]])
     with pytest.raises(ContractViolation):
         solve_occ2(phi)
+
+
+def test_degree_and_length_checks_name_the_offender():
+    with pytest.raises(ContractViolation, match=r"^variable 1 occurs 3 times; need <= 2$"):
+        check_occ2(Formula([1, 2], [[1, 2], [1], [-1]]))
+    for phi, message in (
+        (Formula(range(1, 5), [[1, 2, 3], [-1, -2, -3]]), "variable 4 has degree 0; want exactly 2"),
+        (Formula(range(1, 4), [[1, 2, 3], [-1, -2]]), "variable 3 has degree 1; want exactly 2"),
+        (Formula(range(1, 5), [[1, 2, 3, 4], [-1, -2, -3, -4]]), "clause (1, 2, 3, 4) has length 4"),
+    ):
+        with pytest.raises(ContractViolation) as err:
+            build_multigraph(phi)
+        assert str(err.value) == message
 
 
 def test_multigraph_refuses_a_variable_held_twice_by_one_clause():

@@ -56,6 +56,35 @@ def test_r4_subsumption():
     assert kind == "changed" and out.clauses == ((1, 2),)
 
 
+def test_full_r4_scan_skips_the_longest_clauses(monkeypatch):
+    from xparity import reducer
+
+    calls = []
+    first_superset = reducer._first_superset
+    monkeypatch.setattr(
+        reducer, "_first_superset", lambda phi, i: calls.append(i) or first_superset(phi, i)
+    )
+    # every clause has one length, so none can have a proper superset
+    assert apply_rule(F(4, [1, 2, 3], [-1, 2, 4], [1, -3, -4], [2, 3, -4]), "R4") is None
+    assert calls == []
+    # the only subsumption: a subset one literal shorter than the longest
+    phi = F(4, [-1, 3, 4], [1, 2], [2, -3, -4], [1, 2, 3])
+    kind, out, detail = apply_rule(phi, "R4")
+    assert kind == "changed" and detail == "(1, 2) subsumes (1, 2, 3)"
+    assert out.clauses == ((1, 2), (-1, 3, 4), (2, -3, -4))
+    assert calls == [0]
+
+
+def test_incidence_counts_each_components_variables():
+    from xparity import reducer
+
+    rng = random.Random(5)
+    for _ in range(300):
+        phi = random_formula(rng, max_n=9, max_m=9)
+        comps, counts, _ = reducer._incidence(phi)
+        assert counts == tuple(len({abs(l) for i in c for l in phi.clauses[i]}) for c in comps)
+
+
 def test_r5_unit_clause():
     phi = Formula([1, 2], [[1], [-1, 2]])
     kind, out, _ = apply_rule(phi, "R5")
