@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .branching import clause_branch, settle_children, variable_branch
+from .branching import clause_branch, settle_children, variable_branch_recipes
+from .branching import variable_branch  # noqa: F401  (perfbench's tracer wraps docc's binding)
 from .formula import Formula, flip_variable
 from .length import solve_length
 from .occ2 import Occ2Config
@@ -101,20 +102,20 @@ def solve_positive_fib(phi: Formula, telemetry: Telemetry | None = None) -> int:
     the branching vector (d, d-1, ..., 1) gives the d-th order Fibonacci
     constant as growth base.  A depth-first search over an explicit stack,
     so the depth is not bounded by the interpreter's recursion limit; the
-    tree is visited in pre-order, children in branching order."""
+    tree is visited in pre-order, children in branching order.  Only the
+    children it searches are built: a falsified or clause-free child is read
+    off its ``variable_branch_recipes`` recipe and pushed as its leaf kind."""
     if not is_positive(phi):
         raise NotPositive("solve_positive_fib needs a positive formula")
     tel = telemetry if telemetry is not None else Telemetry()
-    parity = 0
-    stack = [(phi, 0)]
+    # the stack holds leaf kinds and formulas with clauses, none of them empty
+    parity = 0 if phi.clauses or phi.n else 1  # 2^n models without a clause
+    root = "fib.falsified" if phi.has_empty_clause() else phi if phi.clauses else "fib.trivial"
+    stack = [(root, 0)]
     while stack:
         cur, depth = stack.pop()
-        if cur.has_empty_clause():
-            tel.leaf(depth, "fib.falsified")
-            continue
-        if not cur.clauses:
-            tel.leaf(depth, "fib.trivial")
-            parity ^= 1 if cur.n == 0 else 0
+        if cur.__class__ is str:
+            tel.leaf(depth, cur)
             continue
         occ = cur.occ
         if len(occ) < cur.n:
@@ -123,8 +124,14 @@ def solve_positive_fib(phi: Formula, telemetry: Telemetry | None = None) -> int:
         top = max(map(len, occ.values()))
         x = min(v for v, o in occ.items() if len(o) == top)
         tel.node(depth, "fib.branch", {"on": x, "degree": top})
-        children = variable_branch(cur, x).children
-        stack.extend((child, depth + 1) for child in reversed(children))
+        for vs, drop, added in reversed(variable_branch_recipes(cur, x)):
+            if () in added:  # cur has no empty clause, so no kept one is
+                child = "fib.falsified"
+            elif len(drop) == cur.m and not added:
+                child, parity = "fib.trivial", parity ^ (0 if vs else 1)
+            else:
+                child = Formula._derive(vs, cur, drop, added)
+            stack.append((child, depth + 1))
     return parity
 
 

@@ -3,8 +3,11 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from test_occ2 import cubic_edge_cover
+from xparity.branching import variable_branch
 from xparity.docc import (
     NotPositive,
     dual_formula,
@@ -27,6 +30,7 @@ from xparity.oracle import (
     count_set_covers,
 )
 from xparity.telemetry import Telemetry
+from xparity.verify import positive_3regular
 
 
 def test_already_positive_is_single_leaf():
@@ -132,6 +136,93 @@ def test_fib_oracle_fuzz_and_leaf_growth():
             assert solve_positive_fib(phi, tel) == brute_parity(phi), (d, seed)
             if phi.m:
                 assert tel.leaves <= 40 * bound ** phi.m
+
+
+def reference_positive_fib(phi, telemetry=None):
+    """``solve_positive_fib`` as it was when it built every child through
+    ``variable_branch``: the oracle for the version that reads falsified
+    and clause-free children off their recipe."""
+    if not is_positive(phi):
+        raise NotPositive("solve_positive_fib needs a positive formula")
+    tel = telemetry if telemetry is not None else Telemetry()
+    parity = 0
+    stack = [(phi, 0)]
+    while stack:
+        cur, depth = stack.pop()
+        if cur.has_empty_clause():
+            tel.leaf(depth, "fib.falsified")
+            continue
+        if not cur.clauses:
+            tel.leaf(depth, "fib.trivial")
+            parity ^= 1 if cur.n == 0 else 0
+            continue
+        occ = cur.occ
+        if len(occ) < cur.n:
+            tel.leaf(depth, "fib.free-variable")
+            continue
+        top = max(map(len, occ.values()))
+        x = min(v for v, o in occ.items() if len(o) == top)
+        tel.node(depth, "fib.branch", {"on": x, "degree": top})
+        children = variable_branch(cur, x).children
+        stack.extend((child, depth + 1) for child in reversed(children))
+    return parity
+
+
+@st.composite
+def positive_formulas(draw, max_degree=5):
+    """Positive formulas over 0-7 variables, some of them free: clauses of
+    0-4 literals, duplicates kept, no variable in more than ``max_degree``
+    literal occurrences."""
+    n = draw(st.integers(0, 7))
+    used = dict.fromkeys(range(1, n + 1), 0)
+    clauses = []
+    for lits in draw(st.lists(st.lists(st.integers(1, max(n, 1)), max_size=4), max_size=9)):
+        clause = [v for v in lits if v <= n and used[v] < max_degree]
+        for v in clause:
+            used[v] += 1
+        clauses.append(clause)
+    return Formula(range(1, n + 1), clauses)
+
+
+def fib_run(solve, phi):
+    sink = io.StringIO()
+    tel = Telemetry(sink=sink)
+    parity = solve(phi, tel)
+    return parity, tel.nodes, tel.leaves, tel.max_depth, sink.getvalue()
+
+
+@given(positive_formulas())
+@settings(max_examples=400, deadline=None)
+@example(Formula([], []))
+@example(Formula([1, 2], []))
+@example(Formula([1, 2], [[], [1, 2]]))
+@example(Formula([1, 2, 3], [[1, 1, 2], [1, 2]]))
+@example(Formula([1, 2, 3, 4], [[1, 2], [1, 3], [1, 4], [1, 2, 3]]))
+@example(Formula(range(1, 7), [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6], [2, 3, 4]]))
+def test_fib_matches_the_build_every_child_loop(phi):
+    got = fib_run(solve_positive_fib, phi)
+    assert got == fib_run(reference_positive_fib, phi)
+    assert got[0] == brute_parity(phi)
+
+
+def test_fib_builds_only_the_children_it_searches(monkeypatch):
+    # a falsified or clause-free child is a leaf read off its recipe; only
+    # the branch nodes below the root and the free-variable leaves are built
+    phi = positive_3regular(24, 2)
+    derive = Formula._derive.__func__
+    built = []
+
+    def counted(cls, *args):
+        built.append(1)
+        return derive(cls, *args)
+
+    monkeypatch.setattr(Formula, "_derive", classmethod(counted))
+    sink = io.StringIO()
+    tel = Telemetry(sink=sink)
+    solve_positive_fib(phi, tel)
+    kinds = [json.loads(line)["node"] for line in sink.getvalue().splitlines()]
+    assert {"fib.falsified", "fib.trivial", "fib.free-variable"} <= set(kinds)
+    assert len(built) == tel.nodes - 1 + kinds.count("fib.free-variable")
 
 
 def test_fib_without_a_sink_builds_no_record(monkeypatch):

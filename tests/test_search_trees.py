@@ -1,6 +1,6 @@
 """Pinned search trees: parity, tree nodes and leaves, ledger entries,
 R1-R13 firing counts and the sha256 of the JSON-lines telemetry stream of
-eight fixed instances, one or more per solver route.
+nine fixed instances, one or more per solver route.
 
 A change meant to keep every search tree (a faster rule, a cheaper
 transform, a scoped rescan) must leave these figures as they are.  A change
@@ -9,6 +9,7 @@ that alters a tree updates them and says why.
 
 import hashlib
 import io
+import json
 import random
 
 import pytest
@@ -40,6 +41,8 @@ CASES = {
         solve_docc, lambda: gen_random_docc(30, 3, 2, 4, seed=14)),
     "positive-fib positive 3-regular": (
         solve_positive_fib, lambda: positive_3regular(24, 2)),
+    "positive-fib positive 4-occ (every leaf kind)": (
+        solve_positive_fib, lambda: gen_random_docc(20, 4, 2, 5, seed=1, polarity="positive")),
 }
 
 # parity, nodes, leaves, ledger entries, {rule id: firings} (rules that fire)
@@ -61,6 +64,8 @@ PINNED = {
         (0, 12, 19, 30, {"R4": 25, "R5": 55, "R6": 7, "R7": 61}),
     "positive-fib positive 3-regular":
         (0, 933, 795, 0, {}),
+    "positive-fib positive 4-occ (every leaf kind)":
+        (1, 224, 233, 0, {}),
 }
 
 # sha256 of each case's telemetry stream: every node, leaf, ledger and
@@ -82,6 +87,8 @@ STREAM_SHA256 = {
         "b58c3e0ec3cd155aa5e342826ca0175e545005713cf44694a5b101da16b52305",
     "positive-fib positive 3-regular":
         "313bc19e18d08a0d050bfa2fdc1c3d42af6cefde12e656748b14c243b5f13cdf",
+    "positive-fib positive 4-occ (every leaf kind)":
+        "cdb9b1cd2e59659781aca4b94b2f662dca59c7a3ca26a19b9d9ff11022081025",
 }
 
 
@@ -126,3 +133,11 @@ def test_pinned_cases_reach_their_steps(monkeypatch):
         if solve is solve_length:
             solve(make(), Telemetry())
     assert {"step1", "step3_1", "step5_2"} <= kinds, kinds
+
+
+def test_positive_fib_pin_reaches_every_leaf_kind():
+    sink = io.StringIO()
+    solve, make = CASES["positive-fib positive 4-occ (every leaf kind)"]
+    solve(make(), Telemetry(sink=sink))
+    kinds = {json.loads(line)["node"] for line in sink.getvalue().splitlines()}
+    assert kinds == {"fib.branch", "fib.falsified", "fib.trivial", "fib.free-variable"}
