@@ -66,12 +66,17 @@ def clause_branch(phi: Formula, clause) -> BranchSet:
     )
 
 
-def variable_branch_recipes(phi: Formula, x: int) -> list:
-    """The children of ``variable_branch(phi, x)`` as recipes ``(variables,
-    drop, added)``, each child being ``Formula._derive(variables, phi, drop,
-    added)``.  Each is one derivation: the clauses meeting the falsified
-    variables and the earlier sides are rewritten in one pass (a side the
-    falsification leaves alone passes unchanged)."""
+def variable_branch(phi: Formula, x: int) -> BranchSet:
+    """Branch over which clause of x is the first to have its side falsified.
+
+    With x in clauses (l1 v C1), ..., (ld v Cd) in clause order, the i-th
+    child is phi[C1=1, ..., C_{i-1}=1, Ci=0, li=1]: earlier sides are added
+    back as clauses, the i-th side falsified, and x's literal in it
+    satisfied.  The case with every side satisfied makes x a free variable,
+    so it carries no parity and is dropped.  Each child is one derivation:
+    the clauses meeting the falsified variables and the earlier sides are
+    rewritten in one pass (a side the falsification leaves alone passes
+    unchanged)."""
     occs = phi.occ.get(x, ())
     if not occs:
         raise ValueError(f"variable {x} does not occur")
@@ -80,7 +85,7 @@ def variable_branch_recipes(phi: Formula, x: int) -> list:
         s = set(side)
         if any(-l in s for l in s):
             raise ValueError("side clause contains complementary literals; reduce first")
-    recipes = []
+    children = []
     for i, (lit, side) in enumerate(items):
         # a side is its clause minus every copy of lit, so canonical and
         # free of lit; with the check above, lits has no complementary pair
@@ -88,21 +93,8 @@ def variable_branch_recipes(phi: Formula, x: int) -> list:
         vs = {abs(l) for l in lits}
         idxs, touched = _split(phi, vs)
         touched += [s for _, s in items[:i]]
-        recipes.append((phi.variables - vs, idxs, _falsified(touched, lits)))
-    return recipes
-
-
-def variable_branch(phi: Formula, x: int) -> BranchSet:
-    """Branch over which clause of x is the first to have its side falsified.
-
-    With x in clauses (l1 v C1), ..., (ld v Cd) in clause order, the i-th
-    child is phi[C1=1, ..., C_{i-1}=1, Ci=0, li=1]: earlier sides are added
-    back as clauses, the i-th side falsified, and x's literal in it
-    satisfied.  The case with every side satisfied makes x a free variable,
-    so it carries no parity and is dropped.  Each child is derived from its
-    ``variable_branch_recipes`` recipe."""
-    recipes = variable_branch_recipes(phi, x)
+        children.append(Formula._derive(phi.variables - vs, phi, idxs, _falsified(touched, lits)))
     return BranchSet(
-        children=[Formula._derive(vs, phi, drop, added) for vs, drop, added in recipes],
-        labels=[f"first falsified side {i}" for i in range(len(recipes))],
+        children=children,
+        labels=[f"first falsified side {i}" for i in range(len(children))],
     )

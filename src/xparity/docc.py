@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .branching import clause_branch, settle_children, variable_branch_recipes
+from .branching import clause_branch, settle_children
 from .branching import variable_branch  # noqa: F401  (perfbench's tracer wraps docc's binding)
 from .formula import Formula, flip_variable
 from .length import solve_length
@@ -100,38 +100,57 @@ def reduce_to_positive(phi: Formula, telemetry: Telemetry | None = None) -> Iter
 def solve_positive_fib(phi: Formula, telemetry: Telemetry | None = None) -> int:
     """Variable branching on a maximum-degree variable of a positive formula;
     the branching vector (d, d-1, ..., 1) gives the d-th order Fibonacci
-    constant as growth base.  A depth-first search over an explicit stack,
-    so the depth is not bounded by the interpreter's recursion limit; the
-    tree is visited in pre-order, children in branching order.  Only the
-    children it searches are built: a falsified or clause-free child is read
-    off its ``variable_branch_recipes`` recipe and pushed as its leaf kind."""
+    constant as growth base.  A depth-first search over an explicit stack, in
+    pre-order, children in ``variable_branch`` order, on ints: the variables,
+    renumbered densely in ascending order, own W-bit fields (the least id the
+    highest), and a clause's int holds its variables' multiplicities.  Each
+    child clause comes from its own parent clause, so no degree grows below
+    the root, and with W one bit wider than the root's maximum degree needs,
+    ``sum(clauses)`` holds all of a node's degrees."""
     if not is_positive(phi):
         raise NotPositive("solve_positive_fib needs a positive formula")
     tel = telemetry if telemetry is not None else Telemetry()
-    # the stack holds leaf kinds and formulas with clauses, none of them empty
-    parity = 0 if phi.clauses or phi.n else 1  # 2^n models without a clause
-    root = "fib.falsified" if phi.has_empty_clause() else phi if phi.clauses else "fib.trivial"
-    stack = [(root, 0)]
+    ids = sorted(phi.variables, reverse=True)  # ids[f] owns field f
+    top = max(map(len, phi.occ.values()), default=0)
+    w = top.bit_length() + 1
+    shift = {v: w * f for f, v in enumerate(ids)}
+    low = ((1 << w * len(ids)) - 1) // ((1 << w) - 1)  # 1 in every field
+    high = low << w - 1
+    fill = high - low  # + fill sets the high bit of every field but 0
+
+    def sort_key(c):
+        # descending, clause_sort_key's order: more copies first, but flipping
+        # the last variable's field and those below puts a prefix first
+        h = (c + fill) & high
+        return c ^ ((h & -h) << 1) - 1
+
+    parity = 0
+    # a node: its variables' high field bits, its clause ints, a bound on its
+    # degrees (its parent's maximum) and its depth
+    stack = [(high, {sum([1 << shift[v] for v in c]) for c in phi.clauses}, top, 0)]
     while stack:
-        cur, depth = stack.pop()
-        if cur.__class__ is str:
-            tel.leaf(depth, cur)
+        variables, clauses, t, depth = stack.pop()
+        if not clauses or 0 in clauses:
+            tel.leaf(depth, "fib.falsified" if clauses else "fib.trivial")
+            parity ^= not (clauses or variables)  # 2^n models without a clause
             continue
-        occ = cur.occ
-        if len(occ) < cur.n:
+        degrees = sum(clauses)
+        if (degrees + fill) & high != variables:
             tel.leaf(depth, "fib.free-variable")
             continue
-        top = max(map(len, occ.values()))
-        x = min(v for v, o in occ.items() if len(o) == top)
-        tel.node(depth, "fib.branch", {"on": x, "degree": top})
-        for vs, drop, added in reversed(variable_branch_recipes(cur, x)):
-            if () in added:  # cur has no empty clause, so no kept one is
-                child = "fib.falsified"
-            elif len(drop) == cur.m and not added:
-                child, parity = "fib.trivial", parity ^ (0 if vs else 1)
-            else:
-                child = Formula._derive(vs, cur, drop, added)
-            stack.append((child, depth + 1))
+        while not (hits := (degrees + high - t * low) & high):  # fields >= t
+            t -= 1
+        hx = 1 << hits.bit_length() - 1  # the least id's high bit
+        fx = (hx << 1) - (hx >> w - 1)  # x's field
+        tel.node(depth, "fib.branch", {"on": ids[hx.bit_length() // w - 1], "degree": t})
+        rest = [c for c in clauses if not c & fx]
+        of_x = sorted([c for c in clauses if c & fx], key=sort_key, reverse=True)
+        if len(of_x) < t:  # a clause with x twice has two sides
+            of_x = [c for c in of_x for _ in range((c & fx) >> hx.bit_length() - w)]
+        for i in reversed(range(len(of_x))):
+            h = (of_x[i] + fill) & high
+            keep = ~((h << 1) - (h >> w - 1))  # clears side i and x
+            stack.append((variables & keep, {c & keep for c in rest + of_x[:i]}, t, depth + 1))
     return parity
 
 

@@ -205,24 +205,60 @@ def test_fib_matches_the_build_every_child_loop(phi):
     assert got[0] == brute_parity(phi)
 
 
-def test_fib_builds_only_the_children_it_searches(monkeypatch):
-    # a falsified or clause-free child is a leaf read off its recipe; only
-    # the branch nodes below the root and the free-variable leaves are built
+def test_fib_builds_no_formula(monkeypatch):
+    # the search runs on clause ints: below the input, no Formula is built
+    # or derived and no transform or branching scheme runs, yet the tree is
+    # the build-every-child loop's and reaches every leaf kind
+    from xparity import branching, docc, formula
+
     phi = positive_3regular(24, 2)
-    derive = Formula._derive.__func__
-    built = []
+    want = fib_run(reference_positive_fib, phi)
 
-    def counted(cls, *args):
-        built.append(1)
-        return derive(cls, *args)
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_positive_fib built a formula")
 
-    monkeypatch.setattr(Formula, "_derive", classmethod(counted))
-    sink = io.StringIO()
-    tel = Telemetry(sink=sink)
-    solve_positive_fib(phi, tel)
-    kinds = [json.loads(line)["node"] for line in sink.getvalue().splitlines()]
-    assert {"fib.falsified", "fib.trivial", "fib.free-variable"} <= set(kinds)
-    assert len(built) == tel.nodes - 1 + kinds.count("fib.free-variable")
+    monkeypatch.setattr(Formula, "_derive", classmethod(refuse))
+    transforms = ("assign_literal", "falsify_clause", "flip_variable", "merge_variables",
+                  "remove_clause", "remove_variable")
+    for module, names in ((formula, transforms),
+                          (branching, transforms + ("clause_branch", "simple_branch",
+                                                    "variable_branch")),
+                          (docc, ("flip_variable", "clause_branch", "variable_branch"))):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    got = fib_run(solve_positive_fib, phi)
+    assert got == want
+    kinds = {json.loads(line)["node"] for line in got[4].splitlines()}
+    assert {"fib.falsified", "fib.trivial", "fib.free-variable"} <= kinds
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        # sparse and large ids
+        Formula([2, 7, 10**6], [[2, 7], [7, 10**6], [2, 10**6], [2, 7, 10**6]]),
+        Formula([3, 10**9, 10**12], [[10**12], [3, 10**9], [10**9, 10**12]]),
+        # free variables between occurring ones: at the root, and in the
+        # child that keeps 8 but none of its clauses, between 5 and 9
+        Formula(range(1, 9), [[1, 3], [3, 6], [1, 6, 8]]),
+        Formula([1, 5, 6, 8, 9], [[1, 5, 9], [1, 6], [1, 6, 8], [5]]),
+        # literals repeated inside a clause count in the degree and make
+        # two sides of one clause
+        Formula([1, 2, 3], [[1, 1, 2], [2, 2, 3], [1, 3, 3, 3], [1, 2, 3]]),
+        Formula([1, 2], [[1, 1], [1, 2, 2]]),
+        Formula([4, 9], [[4, 4, 4, 9], [9, 9]]),
+        # roots whose maximum degree needs a field wider than a byte: degree
+        # 300 on one variable, then 300 and 255 copies of a literal in a clause
+        Formula(range(1, 302), [[1, k] for k in range(2, 302)]),
+        Formula([1, 2, 3], [[1] * 300, [1, 2], [2, 3]]),
+        Formula([5, 6], [[5] * 255 + [6], [6] * 129]),
+    ],
+    ids=["sparse", "huge-ids", "free-root", "free-below", "repeats", "repeat-pair",
+         "repeat-run", "degree-300", "copies-300", "copies-255"],
+)
+def test_fib_edge_cases_match_the_build_every_child_loop(phi):
+    assert fib_run(solve_positive_fib, phi) == fib_run(reference_positive_fib, phi)
 
 
 def test_fib_without_a_sink_builds_no_record(monkeypatch):

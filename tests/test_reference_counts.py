@@ -1,9 +1,10 @@
 """The solvers against ``perfbench/refcount.py`` at the scale where their
 machinery runs, past the brute-force cap: ``solve_occ2`` on long signed
 2-CNF cycles, which the transfer-matrix walk settles, and cubic edge
-covers, which bisect (and, at n_eps = 2, rebisect below the root);
-``solve_length`` and ``solve_docc`` on 36-52 variable families that take
-``solve_length`` through steps 1 to 5.2.
+covers, which bisect (at four bisection seeds, and, at n_eps = 2,
+rebisect below the root); ``solve_length`` and ``solve_docc`` on 36-52
+variable families that take ``solve_length`` through steps 1 to 5.2;
+``solve_positive_fib`` on positive 30-40 variable formulas.
 
 refcount counts models modulo 2 by variable elimination over GF(2) and
 shares no code with the solvers; it is imported read-only from the
@@ -22,7 +23,7 @@ from test_cycle_walk import cycle_clauses
 from test_occ2 import cubic_edge_cover
 from xparity import occ2
 from xparity.dimacs import parse_dimacs
-from xparity.docc import solve_docc
+from xparity.docc import solve_docc, solve_positive_fib
 from xparity.formula import Formula
 from xparity.generators import gen_random_docc
 from xparity.length import solve_length
@@ -100,6 +101,17 @@ def test_cubic_edge_covers(vertices, seed, n_eps):
         assert any(r["kind"] == "rebisect" and r["depth"] > 0 for r in events)
 
 
+@pytest.mark.parametrize(
+    "vertices, seed, bisect_seed",
+    [(v, s, b) for v, s in CUBIC_COVERS for b in (1, 2, 3)],
+    ids=[f"{v}-{s}-seed{b}" for v, s in CUBIC_COVERS for b in (1, 2, 3)],
+)
+def test_cubic_edge_covers_at_other_bisection_seeds(vertices, seed, bisect_seed):
+    # another seed draws other Kernighan-Lin starts, so other cuts and trees
+    phi = cubic_edge_cover(random.Random(seed), vertices)
+    assert solve_occ2(phi, Telemetry(strict=True), Occ2Config(seed=bisect_seed)) == reference(phi)
+
+
 @pytest.mark.parametrize("index", [3, 24])
 def test_base_solve_splits_into_odd_components(index, monkeypatch):
     # instances 3 and 24 of the seed-3 occ2-cubic pool reach a base-solver
@@ -148,3 +160,18 @@ def test_solve_length(name):
 def test_solve_docc(name):
     phi = LENGTH_CASES[name][0]()
     assert solve_docc(phi, Telemetry(strict=True)) == reference(phi)
+
+
+# positive formulas past the brute-force cap, for the clause-int search
+FIB_CASES = {
+    **{f"positive-3regular-{n}-{s}": (lambda n=n, s=s: positive_3regular(n, s))
+       for n in (30, 36) for s in range(3)},
+    **{f"random-positive-4occ-40-{s}":
+       (lambda s=s: gen_random_docc(40, 4, 2, 5, seed=s, polarity="positive")) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", list(FIB_CASES))
+def test_solve_positive_fib(name):
+    phi = FIB_CASES[name]()
+    assert solve_positive_fib(phi, Telemetry(strict=True)) == reference(phi)
