@@ -142,7 +142,10 @@ def solve_positive_fib(phi: Formula, telemetry: Telemetry | None = None) -> int:
             t -= 1
         hx = 1 << hits.bit_length() - 1  # the least id's high bit
         fx = (hx << 1) - (hx >> w - 1)  # x's field
-        tel.node(depth, "fib.branch", {"on": ids[hx.bit_length() // w - 1], "degree": t})
+        if tel.sink is None:  # the detail is only streamed
+            tel.node(depth, "fib.branch")
+        else:
+            tel.node(depth, "fib.branch", {"on": ids[hx.bit_length() // w - 1], "degree": t})
         rest = [c for c in clauses if not c & fx]
         of_x = sorted([c for c in clauses if c & fx], key=sort_key, reverse=True)
         if len(of_x) < t:  # a clause with x twice has two sides

@@ -10,7 +10,11 @@ the model count).
 Every transform returns a fresh formula; nothing here mutates.  Each one
 is built by ``Formula._derive`` from its parent: the clauses it keeps come
 with the sort keys and literal sets the parent already holds, and only the
-clauses it adds get new ones.
+clauses it adds get new ones.  A build still costs O(L) for the
+occurrence index, so the reducer, whose rules rewrite a few clauses per
+firing, does not build one per firing: it rewrites a private store that
+starts as a view of a formula's tuples and index (``store.Store``) and
+builds once when its chain of firings stops.
 """
 
 from __future__ import annotations
@@ -64,10 +68,11 @@ class Formula:
     frozenset; a derived formula shares them with its parent for every
     clause it keeps.  An occurrence index (variable -> list of (clause
     index, literal)) is built eagerly; it is the backbone of the reduction
-    rules.  The search of the variable-clause incidence graph that gives
-    the clause components and R13's hinge (``reducer._incidence``) is
-    filled in on first use.  ``_base`` holds the clauses of the last
-    fixpoint in its ancestry (``reduce_formula``).
+    rules, whose store starts as a view of it.  The search of the
+    variable-clause incidence graph that gives the clause components and
+    R13's hinge (``reducer._incidence``) is filled in on first use.
+    ``_base`` holds the clauses of the last fixpoint in its ancestry
+    (``reduce_formula``).
     """
 
     __slots__ = ("variables", "clauses", "keys", "sets", "occ", "_incidence", "_base")

@@ -3,31 +3,31 @@
 Rules either rewrite the formula (strictly decreasing the potential
 (n, m, L) in lexicographic order) or settle the instance outright with an
 even-parity verdict.  ``reduce_formula`` applies them in a fixed priority
-order, restarting from the first rule after every change; any order is
-correct, a fixed one keeps traces deterministic.
+order (``_RULES``), restarting from the first rule after every change; any
+order is correct, a fixed one keeps traces deterministic.
 
-The restart is incremental.  A rule checked and found inapplicable stays
-known inapplicable until a fresh clause appears (one the formula did not
-have when the rule was checked), and the clause-local rules R2-R5 can
-only fire on such a clause.  So after a firing they re-check only the
-fresh clauses and pick the firing a full scan would.  A firing found on
-such a scope keeps it: every clause outside the scope was there before
-and is still inapplicable (an R4 firing only deletes a clause, an R5
-firing only adds fresh ones), so the next pass checks the scope's
-surviving clauses plus the fresh ones.  A formula derived from a
-fixpoint starts scoped the same way: only the clauses that fixpoint lacks
-(``Formula._base``) are fresh.  R1 looks at the first clause, where an
-empty one sorts; R6-R13 depend on occurrence counts and connectivity and
-always scan in full.
+R1-R7 rewrite a store (``store.Store``) instead of deriving a formula per
+firing: the clauses under stable ids, a view of the input until the first
+change copies it, so a firing costs what it touches.  One ``Formula`` is
+built when R1-R7 stop firing; R8-R13 are checked on it, and a formula one
+of them derives is loaded as the next store.  The input is never mutated.
 
-R2, R3, R4, R8, R10 and R11 read the literal sets the formula keeps
-beside its clauses instead of building one per clause and check, and
-every firing derives its result from the formula it fired on
-(``Formula._derive``).  R12 and R13 read one search of the formula's
-incidence graph, kept on the formula: its components and R13's hinge
-with the side to settle.  So a pass that checks both searches once, a
-solver that splits a formula the reducer returned reuses the search, and
-only a component or side within the cap is derived as a subformula.
+Each store rule picks the firing a full scan would.  R2-R5 keep pending
+ids outside which they are known inapplicable: a check leaves pending only
+the clauses it fires on, a firing adds the ids it adds, and dropping a
+clause makes no rule applicable.  Each picks the least by key, R4 the
+least (subset, superset) pair with a pending member.  R6 and R7 take the
+least of the variables whose degree fell to 0 or moved to 1.  A formula
+derived from a fixpoint starts with only the clauses that fixpoint lacks
+(``Formula._base``) pending, and so does a store loaded after an R8-R13
+firing, with the clauses of the formula it fired on.  R1 reads a flag.
+
+R8, R10 and R11 read the literal sets the formula keeps beside its
+clauses.  R12 and R13 read one search of the formula's incidence graph,
+kept on the formula: its components and R13's hinge with the side to
+settle.  So a pass that checks both searches once, a solver that splits a
+formula the reducer returned reuses the search, and only a component or
+side within the cap is derived as a subformula.
 
 Rule summary (ids follow the priority order):
   R1  empty clause present            -> parity 0
@@ -55,12 +55,12 @@ from operator import itemgetter, neg
 from .formula import (
     Formula,
     assign_literal,
-    falsify_clause,
     merge_variables,
     remove_variable,
     var_of,
 )
 from .oracle import brute_parity
+from .store import Store
 
 SUBFORMULA_VAR_CAP = 10  # threshold from the isolate/semi-isolate rules
 SUBSET_ENUMERATION_LIMIT = 500_000  # connected subsets the property report may list
@@ -93,114 +93,139 @@ class ReductionOutcome:
 
 
 # -- individual rules --------------------------------------------------------
-# Each returns None (not applicable), ("verdict", detail) or
-# ("changed", formula, detail).
+# Each takes the store and returns None (not applicable), ("verdict",
+# detail) or ("changed", result, detail): R1-R7 rewrite the store and return
+# it, R8-R13 return a new Formula.
 
 
-def _scoped(phi: Formula, scope):
-    """(index, clause) pairs of the scope, all clauses when it is None."""
-    if scope is None:
-        return enumerate(phi.clauses)
-    return ((k, phi.clauses[k]) for k in scope)
+def _pending(st: Store, rule_id: str):
+    """(id, clause, literal set) of the ids pending for rule_id, dropped
+    ones (clause None) included."""
+    ids = st.pending[rule_id]
+    if ids is None:
+        return zip(itertools.count(), st.clauses, st.sets)
+    return ((k, st.clauses[k], st.sets[k]) for k in ids)
 
 
-def _r1(phi: Formula):
-    if phi.has_empty_clause():
-        return ("verdict", "empty clause")
-    return None
+def _least(st: Store, rule_id: str, hits: set):
+    """Keep the ids a clause-local rule fires on as its pending ids (it is
+    inapplicable on the rest) and pick the least by key."""
+    st.pending[rule_id] = hits
+    return min(hits, key=st.keys.__getitem__) if hits else None
 
 
-def _r2(phi: Formula, scope=None):
-    for k, clause in _scoped(phi, scope):
-        if len(phi.sets[k]) != len(clause):
-            cleaned = tuple(dict.fromkeys(clause))
-            out = Formula._derive(phi.variables, phi, (k,), (cleaned,))
-            return ("changed", out, f"dedup {clause}")
-    return None
+def _r1(st: Store):
+    return ("verdict", "empty clause") if st.empty else None
 
 
-def _r3(phi: Formula, scope=None):
-    for k, clause in _scoped(phi, scope):
-        s = phi.sets[k]
-        if not s.isdisjoint(map(neg, s)):
-            out = Formula._derive(phi.variables, phi, (k,))
-            return ("changed", out, f"tautology {clause}")
-    return None
-
-
-def _first_superset(phi: Formula, i: int):
-    # A superset of clause i occurs in the occurrence list of each variable
-    # of clause i, so scanning the shortest such list (ascending clause
-    # index) finds the smallest j.
-    sets = phi.sets
-    s = sets[i]
-    scan = min(map(phi.occ.__getitem__, map(abs, s)), key=len) if s else enumerate(sets)
-    for j, _ in scan:
-        if s < sets[j]:
-            return j
-    return None
-
-
-def _r4(phi: Formula, scope=None):
-    """The least pair (i, j) in index order with clause i a proper subset
-    of clause j, over the pairs with i or j in the scope; drop clause j.
-    In the production order R1 has ruled out an empty clause before a
-    scope is given; a rule order that runs R4 first scans in full."""
-    sets = phi.sets
-    if scope is None:
-        # a clause of the greatest length has no proper superset, so a full
-        # scan skips those
-        top = max(map(len, sets), default=0)
-        candidates = itertools.compress(itertools.count(), map(top.__gt__, map(len, sets)))
-    else:
-        candidates = scope
-    pairs = []
-    for i in candidates:
-        j = _first_superset(phi, i)
-        if j is not None:
-            pairs.append((i, j))
-            break
-    if scope is not None:
-        # a (non-empty) subset of clause j shares a variable with it
-        for j in scope:
-            s = sets[j]
-            subsets = [i for l in s for i, _ in phi.occ[var_of(l)] if sets[i] < s]
-            if subsets:
-                pairs.append((min(subsets), j))
-    if not pairs:
+def _r2(st: Store):
+    k = _least(st, "R2", {k for k, c, s in _pending(st, "R2") if c and len(s) < len(c)})
+    if k is None:
         return None
-    i, j = min(pairs)
-    return (
-        "changed",
-        Formula._derive(phi.variables, phi, (j,)),
-        f"{phi.clauses[i]} subsumes {phi.clauses[j]}",
-    )
+    clause = st.clauses[k]
+    st.drop(k)
+    st.add(tuple(dict.fromkeys(clause)))
+    return ("changed", st, f"dedup {clause}")
 
 
-def _r5(phi: Formula, scope=None):
-    for _, clause in _scoped(phi, scope):
-        if len(clause) == 1:
-            lit = clause[0]
-            return ("changed", assign_literal(phi, lit), f"unit {lit}")
-    return None
+def _r3(st: Store):
+    hits = {k for k, c, s in _pending(st, "R3") if c and not s.isdisjoint(map(neg, s))}
+    k = _least(st, "R3", hits)
+    if k is None:
+        return None
+    clause = st.clauses[k]
+    st.drop(k)
+    return ("changed", st, f"tautology {clause}")
 
 
-def _r6(phi: Formula):
-    free = phi.variables.difference(phi.occ)
-    if free:
-        return ("verdict", f"0-variable {min(free)}")
-    return None
+def _first_superset(st: Store, i: int):
+    # A superset of clause i occurs in the occurrence list of each variable
+    # of clause i, so scanning the shortest such list finds the least one.
+    sets, keys = st.sets, st.keys
+    s = sets[i]
+    if s:
+        scan = min(map(st.occ.__getitem__, map(abs, s)), key=len)
+    else:
+        scan = [(k, c) for k, c in enumerate(st.clauses) if c is not None]
+    best = None
+    for j, _ in scan:
+        if s < sets[j] and (best is None or keys[j] < keys[best]):
+            best = j
+    return best
 
 
-def _r7(phi: Formula):
-    ones = [v for v, occs in phi.occ.items() if len(occs) == 1]
-    if ones:
-        v = min(ones)
-        cidx, lit = phi.occ[v][0]
-        clause = phi.clauses[cidx]
-        out = falsify_clause(phi, [-lit] + [l for l in clause if l != lit])
-        return ("changed", out, f"1-variable {v}: {lit}=1, rest of {clause} false")
-    return None
+def _r4(st: Store):
+    """The least pair (key i, key j) with clause i a proper subset of clause
+    j, over the pairs with i or j pending; drop clause j.  A subset or a
+    superset of a pending clause shares a variable with it, so its
+    occurrence lists hold every such pair; an empty clause shares none, but
+    in the production order R1 has ruled it out before R4 knows anything,
+    and a rule order that runs R4 first scans in full."""
+    clauses, sets, keys, occ = st.clauses, st.sets, st.keys, st.occ
+    ids = st.pending["R4"]
+    best = None
+    if ids is None:
+        # a clause of the greatest length has no proper superset (the set of
+        # a dropped clause still counts: at worst a wasted check)
+        top = max(map(len, sets), default=0)
+        for i in itertools.compress(itertools.count(), map(top.__gt__, map(len, sets))):
+            j = None if clauses[i] is None else _first_superset(st, i)
+            if j is not None:
+                pair = (keys[i], keys[j], i, j)
+                if best is None or pair < best:
+                    best = pair
+    else:
+        for p in ids:
+            if clauses[p] is None:
+                continue
+            s = sets[p]
+            for l in s:
+                for q, _ in occ[abs(l)]:
+                    t = sets[q]
+                    if t < s:
+                        pair = (keys[q], keys[p], q, p)
+                    elif s < t:
+                        pair = (keys[p], keys[q], p, q)
+                    else:
+                        continue
+                    if best is None or pair < best:
+                        best = pair
+    if best is None:
+        st.pending["R4"] = set()
+        return None
+    *_, i, j = best
+    detail = f"{clauses[i]} subsumes {clauses[j]}"
+    st.drop(j)
+    return ("changed", st, detail)
+
+
+def _r5(st: Store):
+    k = _least(st, "R5", {k for k, c, _ in _pending(st, "R5") if c and len(c) == 1})
+    if k is None:
+        return None
+    lit = st.clauses[k][0]
+    st.falsify({-lit})
+    return ("changed", st, f"unit {lit}")
+
+
+def _r6(st: Store):
+    st.zeros = {v for v in st.zeros if v in st.variables and v not in st.occ}
+    return ("verdict", f"0-variable {min(st.zeros)}") if st.zeros else None
+
+
+def _r7(st: Store):
+    occ = st.occ
+    st.ones = {v for v in st.ones if len(occ.get(v, ())) == 1}
+    if not st.ones:
+        return None
+    v = min(st.ones)
+    k, lit = occ[v][0]
+    clause = st.clauses[k]
+    lits = {-lit, *(l for l in clause if l != lit)}
+    if not lits.isdisjoint(map(neg, lits)):
+        raise ValueError("cannot falsify a clause with complementary literals")
+    st.falsify(lits)
+    return ("changed", st, f"1-variable {v}: {lit}=1, rest of {clause} false")
 
 
 def _r8(phi: Formula):
@@ -463,6 +488,11 @@ def remove_hinged_side(phi: Formula, idxs, hinge: int, p0: int, p1: int) -> Form
     return rest
 
 
+def _on_formula(rule):
+    """A rule of the Formula path, checked on the formula the store holds."""
+    return lambda st: rule(st.formula())
+
+
 _RULES = (
     ("R1", _r1),
     ("R2", _r2),
@@ -471,25 +501,25 @@ _RULES = (
     ("R5", _r5),
     ("R6", _r6),
     ("R7", _r7),
-    ("R8", _r8),
-    ("R9", _r9),
-    ("R10", _r10),
-    ("R11", _r11),
-    ("R12", _r12),
-    ("R13", _r13),
+    ("R8", _on_formula(_r8)),
+    ("R9", _on_formula(_r9)),
+    ("R10", _on_formula(_r10)),
+    ("R11", _on_formula(_r11)),
+    ("R12", _on_formula(_r12)),
+    ("R13", _on_formula(_r13)),
 )
 
 _RULE_BY_ID = dict(_RULES)
 
-# rules that take a scope of clause indices; any other rule, including one
-# swapped into _RULES, always scans the whole formula
-_CLAUSE_LOCAL = frozenset((_r2, _r3, _r4, _r5))
-
 
 def apply_rule(phi: Formula, rule_id: str):
-    """Apply a single rule once.  Returns None, ("verdict", detail) or
-    ("changed", formula, detail)."""
-    return _RULE_BY_ID[rule_id](phi)
+    """Apply a single rule once, with nothing known about phi.  Returns
+    None, ("verdict", detail) or ("changed", formula, detail)."""
+    st = Store(phi)
+    res = _RULE_BY_ID[rule_id](st)
+    if res is not None and res[1] is st:
+        return ("changed", st.formula(), res[2])
+    return res
 
 
 def reduce_formula(phi: Formula) -> ReductionOutcome:
@@ -499,57 +529,49 @@ def reduce_formula(phi: Formula) -> ReductionOutcome:
     strictly decreases (n, m, L) lexicographically, which is asserted.
     The trace lists (rule id, detail) for every firing.
 
-    R2-R5 run on a scope of clauses outside which they are known
-    inapplicable (see the module docstring).  After a firing of a rule
-    checked in full, the rules before it check only the fresh clauses.
-    After a firing inside the scope, the scope carries over: its surviving
-    clauses plus the fresh ones.  A phi derived from a fixpoint starts on
-    the clauses that fixpoint lacks, and a returned fixpoint records its
-    clauses in ``_base`` for the formulas derived from it.
+    R1-R7 rewrite a store (see the module docstring); R8-R13 are checked
+    on the formula it holds, built once R1-R7 stop firing, and a formula
+    one of them derives is loaded as the next store.  A phi derived from a
+    fixpoint starts with R2-R5 pending on the clauses that fixpoint lacks,
+    and a returned fixpoint records its clauses in ``_base`` for the
+    formulas derived from it.
     """
+    st = Store(phi, phi._base)
     trace = []
-    potential = [(phi.n, phi.m, phi.length)]
-    # rules at positions below ``known`` are known inapplicable outside the
-    # clause indices ``scope``
-    known, scope = 0, ()
-    if phi._base is not None:
-        old = set(phi._base)
-        known, scope = len(_RULES), [k for k, c in enumerate(phi.clauses) if c not in old]
+    potential = [st.potential]
     while True:
-        for r, (rule_id, fn) in enumerate(_RULES):
-            scoped = r < known and fn in _CLAUSE_LOCAL
-            res = fn(phi, scope) if scoped else fn(phi)
+        for rule_id, fn in _RULES:
+            res = fn(st)
             if res is None:
                 continue
             if res[0] == "verdict":
                 trace.append((rule_id, res[1]))
                 return ReductionOutcome(None, 0, trace, potential)
-            _, new_phi, detail = res
-            new_pot = (new_phi.n, new_phi.m, new_phi.length)
-            if not new_pot < potential[-1]:
+            _, out, detail = res
+            if out is not st:
+                # R2-R5 were known inapplicable on the whole formula the
+                # rule fired on, unless a rule order that checks R8-R13
+                # earlier left some pending: those start over in full
+                unknown = [r for r, ids in st.pending.items() if ids is None or ids]
+                st = Store(out, st.built.clauses)
+                st.pending.update(dict.fromkeys(unknown))
+            pot = st.potential
+            if not pot < potential[-1]:
                 raise ReducerInvariantError(
-                    f"{rule_id} did not decrease the potential: "
-                    f"{potential[-1]} -> {new_pot}"
+                    f"{rule_id} did not decrease the potential: {potential[-1]} -> {pot}"
                 )
             trace.append((rule_id, detail))
-            potential.append(new_pot)
-            old = set(phi.clauses)
-            if scoped:
-                # the rules below known stay inapplicable outside the
-                # scope, so its surviving clauses stay in it
-                old.difference_update(phi.clauses[k] for k in scope)
-            else:
-                known = r
-            scope = [k for k, c in enumerate(new_phi.clauses) if c not in old]
-            phi = new_phi
+            potential.append(pot)
             break
         else:
+            phi = st.formula()
             object.__setattr__(phi, "_base", phi.clauses)
             return ReductionOutcome(phi, None, trace, potential)
 
 
 def is_fixpoint(phi: Formula) -> bool:
-    return all(fn(phi) is None for _, fn in _RULES)
+    st = Store(phi)
+    return all(fn(st) is None for _, fn in _RULES)
 
 
 # -- reduced-formula property report ----------------------------------------

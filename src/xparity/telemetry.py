@@ -61,13 +61,15 @@ class Telemetry:
 
     def node(self, depth: int, kind: str, detail: dict | None = None):
         self.nodes += 1
-        self.max_depth = max(self.max_depth, depth)
+        if depth > self.max_depth:
+            self.max_depth = depth
         if self.sink is not None:
             self.event({"kind": "node", "depth": depth, "node": kind, **(detail or {})})
 
     def leaf(self, depth: int, kind: str, detail: dict | None = None):
         self.leaves += 1
-        self.max_depth = max(self.max_depth, depth)
+        if depth > self.max_depth:
+            self.max_depth = depth
         if self.sink is not None:
             self.event({"kind": "leaf", "depth": depth, "node": kind, **(detail or {})})
 

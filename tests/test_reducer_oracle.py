@@ -1,20 +1,23 @@
-"""The occurrence-list R4 and the articulation-point R13 against their
-naive definitions: all-pairs subsumption, and one clause-component pass
-per variable, by a search of its own that shares no code with the
-reducer's.  R8-R11 are checked against their earlier versions, which
-built a set, list or tuple for each occurrence and clause they looked at.
+"""The reducer against definitions that share no code with it.
+
+The occurrence-list R4 and the articulation-point R13 are checked against
+their naive definitions: all-pairs subsumption, and one clause-component
+pass per variable, by a search of its own.  R8-R11 are checked against
+their earlier versions, which built a set, list or tuple for each
+occurrence and clause they looked at.  R1-R3 and R5-R7, which rewrite the
+reducer's store, are checked against their definitions on ``Formula``s,
+written with the transforms of ``formula.py``.
 
 Every formula is checked twice: the single rule application must return
-exactly what the naive rule returns, and the whole fixpoint run with
-details must give the same trace, potentials and result under both rule
-sets.  The fixpoint's fresh-clause scopes for R1-R5 are checked against
-an engine that rescans every rule in full after each firing, and a
-reduction started from a parent's fixpoint against one started afresh.
+exactly what the definition returns, and the whole fixpoint must give the
+same result, trace and potentials as a reference loop on ``Formula``s that
+rescans every rule in full after each firing, with no store, no pending
+clauses and no scoped start.  A reduction started from a parent's fixpoint
+is also checked against one started afresh.
 """
 
 import functools
 import random
-from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +27,7 @@ from xparity.branching import clause_branch, simple_branch, variable_branch
 from xparity.formula import (
     Formula,
     assign_literal,
+    falsify_clause,
     flip_variable,
     merge_variables,
     remove_variable,
@@ -38,6 +42,7 @@ from xparity.reducer import (
     reduce_formula,
     subformula,
 )
+from xparity.store import Store
 
 
 # -- the naive rules ---------------------------------------------------------
@@ -205,32 +210,98 @@ NAIVE = {
 }
 
 
-@contextmanager
-def naive_engine():
-    saved = reducer._RULES
-    reducer._RULES = tuple((rid, NAIVE.get(rid, fn)) for rid, fn in saved)
-    try:
-        yield
-    finally:
-        reducer._RULES = saved
+# -- the store rules by definition -------------------------------------------
 
 
-@contextmanager
-def full_scan_engine():
-    """The naive rules, each scanning the whole formula after every firing:
-    the fixpoint without fresh-clause scopes."""
-    saved = reducer._RULES
-    reducer._RULES = tuple(
-        (rid, lambda phi, fn=NAIVE.get(rid, fn): fn(phi)) for rid, fn in saved
-    )
-    try:
-        yield
-    finally:
-        reducer._RULES = saved
+def defined_r1(phi: Formula):
+    return ("verdict", "empty clause") if () in phi.clauses else None
+
+
+def without(phi: Formula, k: int, *added) -> Formula:
+    return Formula(phi.variables, [*phi.clauses[:k], *phi.clauses[k + 1 :], *added])
+
+
+def defined_r2(phi: Formula):
+    for k, clause in enumerate(phi.clauses):
+        if len(set(clause)) < len(clause):
+            return ("changed", without(phi, k, dict.fromkeys(clause)), f"dedup {clause}")
+    return None
+
+
+def defined_r3(phi: Formula):
+    for k, clause in enumerate(phi.clauses):
+        if any(-l in clause for l in clause):
+            return ("changed", without(phi, k), f"tautology {clause}")
+    return None
+
+
+def defined_r5(phi: Formula):
+    for clause in phi.clauses:
+        if len(clause) == 1:
+            return ("changed", assign_literal(phi, clause[0]), f"unit {clause[0]}")
+    return None
+
+
+def defined_r6(phi: Formula):
+    free = [v for v in sorted(phi.variables) if phi.degree(v) == 0]
+    return ("verdict", f"0-variable {free[0]}") if free else None
+
+
+def defined_r7(phi: Formula):
+    for v in sorted(phi.variables):
+        if phi.degree(v) == 1:
+            cidx, lit = phi.occ[v][0]
+            clause = phi.clauses[cidx]
+            out = falsify_clause(phi, [-lit] + [l for l in clause if l != lit])
+            return ("changed", out, f"1-variable {v}: {lit}=1, rest of {clause} false")
+    return None
+
+
+DEFINED = {
+    "R1": defined_r1,
+    "R2": defined_r2,
+    "R3": defined_r3,
+    "R5": defined_r5,
+    "R6": defined_r6,
+    "R7": defined_r7,
+}
+
+# every rule in priority order; R12 is the reducer's own, on Formulas
+REFERENCE = [
+    (rid, NAIVE.get(rid) or DEFINED.get(rid) or functools.partial(apply_rule, rule_id=rid))
+    for rid in (f"R{i}" for i in range(1, 14))
+]
+
+
+def reference_reduce(phi: Formula):
+    """The fixpoint by definition: after every firing, every rule scans
+    the whole formula again, from R1."""
+    trace, potential = [], [(phi.n, phi.m, phi.length)]
+    while True:
+        for rid, rule in REFERENCE:
+            res = rule(phi)
+            if res is None:
+                continue
+            trace.append((rid, res[-1]))
+            if res[0] == "verdict":
+                return None, 0, trace, potential
+            phi = res[1]
+            potential.append((phi.n, phi.m, phi.length))
+            break
+        else:
+            return phi, None, trace, potential
 
 
 def outcome(out):
     return out.formula, out.verdict, out.trace, out.potential_log
+
+
+def refused(rule, *args):
+    """The rule's result, or the ValueError it raised (R7 on a tautology)."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        return ("refused", str(exc))
 
 
 def check_against_naive(phi: Formula, fired: dict | None = None):
@@ -239,10 +310,9 @@ def check_against_naive(phi: Formula, fired: dict | None = None):
         assert got == naive(phi), (rid, phi)
         if fired is not None and got is not None:
             fired[rid] += 1
-    fast = reduce_formula(phi)
-    with naive_engine():
-        slow = reduce_formula(phi)
-    assert outcome(fast) == outcome(slow), phi
+    for rid, defined in DEFINED.items():
+        assert refused(apply_rule, phi, rid) == refused(defined, phi), (rid, phi)
+    fast = check_scoped_fixpoint(phi)
     if fired is not None:
         for rid, _ in fast.trace:
             if rid in fired:
@@ -251,9 +321,7 @@ def check_against_naive(phi: Formula, fired: dict | None = None):
 
 def check_scoped_fixpoint(phi: Formula):
     out = reduce_formula(phi)
-    with full_scan_engine():
-        full = reduce_formula(phi)
-    assert outcome(out) == outcome(full), phi
+    assert outcome(out) == reference_reduce(phi), phi
     if not out.settled:
         assert is_fixpoint(out.formula), phi
     return out
@@ -271,6 +339,30 @@ def raw_formulas(draw, max_n=7, max_m=9, max_len=4):
     lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
     clauses = draw(st.lists(st.lists(lit, max_size=max_len), max_size=max_m))
     return Formula(range(1, n + 1), clauses)
+
+
+@st.composite
+def cascades(draw, pool=None, max_n=14):
+    """A chain of 2-clauses (-l1 l2), (-l2 l3), ... over signed variables
+    (drawn from ``pool``, or from 1..n), started by the unit (l1) for a
+    long R5 cascade, or open at both ends for R7 to eat from its degree-1
+    ends.  Beside it: a few raw short clauses, among them more units, and
+    copies of raw clauses, each widened by a chain literal.  A firing that
+    falsifies two such literals at once, or strips a repeated literal,
+    turns two clauses into one; equal-length clauses compete for each pick
+    by key."""
+    names = pool if pool is not None else range(1, draw(st.integers(4, max_n)) + 1)
+    chosen = draw(st.permutations(names))[:max_n]
+    lits = [v * draw(st.sampled_from((1, -1))) for v in chosen]
+    k = draw(st.integers(2, len(lits)))
+    clauses = [[-lits[i], lits[i + 1]] for i in range(k - 1)]
+    if draw(st.booleans()):
+        clauses.append([lits[0]])
+    lit = st.sampled_from(lits).flatmap(lambda l: st.sampled_from((l, -l)))
+    for base in draw(st.lists(st.lists(lit, min_size=1, max_size=3), max_size=6)):
+        widened = draw(st.lists(st.sampled_from(lits[:k]).map(lambda l: -l), max_size=3))
+        clauses += [base + [x] for x in widened] if widened else [base]
+    return Formula(chosen, clauses)
 
 
 def block_tree(rng: random.Random, blocks: int) -> Formula:
@@ -459,7 +551,7 @@ def test_r13_settles_the_first_small_side():
         check_against_naive(phi)
 
 
-# -- fresh-clause scopes ------------------------------------------------------
+# -- pending clauses ---------------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
@@ -537,25 +629,61 @@ def test_scoped_rules_on_targeted_cases():
     phi = Formula(range(1, 8), [[2, 7], [-2, -7], [1, -2, 7], [1, 3]])
     child = merge_variables(phi, 7, -2)
     parent = set(phi.clauses)
-    fresh = [k for k, c in enumerate(child.clauses) if c not in parent]
-    got = reducer._r2(child, fresh)
-    assert got == apply_rule(child, "R2") and got[2] == "dedup (1, -2, -2)"
+    fresh = {k for k, c in enumerate(child.clauses) if c not in parent}
+    store = Store(child, phi.clauses)
+    assert store.pending["R2"] == fresh
+    kind, _, detail = reducer._r2(store)
+    assert (kind, store.formula(), detail) == apply_rule(child, "R2")
+    assert detail == "dedup (1, -2, -2)"
     check_scoped_fixpoint(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cascades())
+def test_cascades_match_the_reference(phi):
+    check_against_naive(phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_formulas(max_n=4, max_m=14, max_len=2))
+def test_ties_between_short_clauses_match_the_reference(phi):
+    # few variables and many clauses of one or two literals: several units
+    # and subsumption pairs of equal length at once
+    check_against_naive(phi)
+
+
+def test_a_firing_that_makes_two_clauses_one():
+    # R7 on 5 falsifies 1 and 2 at once: (3 4 1) and (3 4 2) both become
+    # (3 4), kept once
+    phi = Formula(range(1, 6), [[1, 3, 4], [2, 3, 4], [1, 2, 5]])
+    out = check_scoped_fixpoint(phi)
+    assert out.trace[0] == ("R7", "1-variable 5: 5=1, rest of (1, 2, 5) false")
+    assert out.potential_log[:2] == [(5, 3, 9), (2, 1, 2)]
+    # R2 strips (1 1 2) to a clause already present
+    out = check_scoped_fixpoint(Formula(range(1, 4), [[1, 1, 2], [1, 2], [-1, 3], [-2, -3]]))
+    assert out.trace[0] == ("R2", "dedup (1, 1, 2)")
+    assert out.potential_log[:2] == [(3, 4, 9), (3, 3, 6)]
+
+
+def pending_r4(monkeypatch) -> list:
+    """Record the ids R4 has pending at each check, None for a full scan."""
+    seen = []
+
+    def r4(store):
+        ids = store.pending["R4"]
+        seen.append(None if ids is None else set(ids))
+        return reducer._r4(store)
+
+    rules = tuple((rid, r4 if fn is reducer._r4 else fn) for rid, fn in reducer._RULES)
+    monkeypatch.setattr(reducer, "_RULES", rules)
+    return seen
 
 
 def test_scoped_r4_firing_keeps_its_scope(monkeypatch):
     # unit 1 leaves the fresh (2), which subsumes (2 3) and then (2 -4):
-    # both R4 firings are found on the scope, so only the first pass, which
-    # knows nothing yet, runs R4 on the whole formula
-    scopes = []
-
-    def r4(phi, scope=None):
-        scopes.append(scope)
-        return reducer._r4(phi, scope)
-
-    rules = tuple((rid, r4 if fn is reducer._r4 else fn) for rid, fn in reducer._RULES)
-    monkeypatch.setattr(reducer, "_RULES", rules)
-    monkeypatch.setattr(reducer, "_CLAUSE_LOCAL", reducer._CLAUSE_LOCAL | {r4})
+    # both R4 firings are found on the pending clauses, so only the first
+    # pass, which knows nothing yet, runs R4 on the whole formula
+    scopes = pending_r4(monkeypatch)
     phi = Formula(range(1, 6), [[1], [-1, 2], [2, 3], [2, -4], [3, 5], [-3, -5], [4, 5]])
     out = reduce_formula(phi)
     assert out.trace[:3] == [
@@ -628,17 +756,9 @@ def test_parent_start_on_raw_grafts(data):
 
 
 def test_children_of_a_fixpoint_start_scoped(monkeypatch):
-    # the first R4 check of a reduction runs in full (scope None) unless
-    # the formula descends from a fixpoint the reducer returned
-    scopes = []
-
-    def r4(phi, scope=None):
-        scopes.append(scope)
-        return reducer._r4(phi, scope)
-
-    rules = tuple((rid, r4 if fn is reducer._r4 else fn) for rid, fn in reducer._RULES)
-    monkeypatch.setattr(reducer, "_RULES", rules)
-    monkeypatch.setattr(reducer, "_CLAUSE_LOCAL", reducer._CLAUSE_LOCAL | {r4})
+    # the first R4 check of a reduction runs in full (nothing pending is
+    # known) unless the formula descends from a fixpoint the reducer returned
+    scopes = pending_r4(monkeypatch)
 
     def first_r4_scope(child):
         del scopes[:]
@@ -653,3 +773,17 @@ def test_children_of_a_fixpoint_start_scoped(monkeypatch):
     assert psi.clauses == phi.clauses and psi._base == psi.clauses
     assert first_r4_scope(simple_branch(psi, 1).children[0]) is not None
     assert first_r4_scope(simple_branch(flip_variable(psi, 1), 1).children[0]) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parent_start_on_cascade_grafts(data):
+    # a cascade over a fixpoint's own variables, grafted onto it, runs its
+    # chain through clauses the fixpoint knows inapplicable
+    psi = data.draw(st.sampled_from(family_fixpoints()))
+    keep = data.draw(st.lists(st.booleans(), min_size=psi.m, max_size=psi.m))
+    cascade = data.draw(cascades(pool=sorted(psi.variables)))
+    drop = [k for k, kept in enumerate(keep) if not kept]
+    child = Formula._derive(psi.variables, psi, drop, cascade.clauses)
+    check_scoped_start(child)
+    check_scoped_fixpoint(child)
