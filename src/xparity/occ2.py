@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .branching import clause_branch, settle_children
 from .factors import EPS, epsilon_prime
@@ -35,11 +36,10 @@ class ContractViolation(ValueError):
     """Input outside the solver's contract (e.g. a 3+-occurrence variable)."""
 
 
-@dataclass(frozen=True)
-class MultiEdge:
+class MultiEdge(NamedTuple):
     u: tuple  # 3-clause (canonical tuple)
     v: tuple
-    label: int  # the variable by which the edge's walk leaves u
+    label: int  # the variable by which the edge leaves u
 
     def is_loop(self) -> bool:
         return self.u == self.v
@@ -49,9 +49,10 @@ class MultiEdge:
 class ClauseMultigraph:
     """The smoothed dual graph: vertices are the 3-clauses, edges are direct
     variable sharings or chains of 2-clauses.  The edges are kept in order
-    of their endpoints' clause sort keys, the lesser first; parallel edges
-    share both endpoints and their orientation, so nothing reads their
-    order.  Components made only of 2-clauses do not appear here."""
+    of their endpoints' clause indices, the lesser first, which is the order
+    of their clause sort keys; parallel edges share both endpoints and their
+    orientation, so nothing reads their order.  Components made only of
+    2-clauses do not appear here."""
 
     vertices: frozenset
     edges: list
@@ -118,33 +119,43 @@ def _closed(t: tuple, x: int, y: int) -> int:
 def build_multigraph(phi: Formula) -> ClauseMultigraph:
     """Requires every variable to have degree exactly 2 and clause lengths in
     {2, 3} (the shape reduction guarantees on 2-occ input)."""
-    three = [i for i, c in enumerate(phi.clauses) if len(c) == 3]
+    clauses, occ = phi.clauses, phi.occ
+    three = [i for i, c in enumerate(clauses) if len(c) == 3]
     # one pass over the lengths each; the loops only name the offender
-    if not set(map(len, phi.clauses)) <= {2, 3}:
-        for c in phi.clauses:
+    if not set(map(len, clauses)) <= {2, 3}:
+        for c in clauses:
             if len(c) not in (2, 3):
                 raise ContractViolation(f"clause {c} has length {len(c)}")
     # the variables that occur are the keys of occ, so all have degree 2
     # when there are n keys, each with two occurrences
-    if len(phi.occ) != phi.n or not set(map(len, phi.occ.values())) <= {2}:
+    if len(occ) != phi.n or not set(map(len, occ.values())) <= {2}:
         for v in phi.variables:
             if phi.degree(v) != 2:
                 raise ContractViolation(f"variable {v} has degree {phi.degree(v)}; want exactly 2")
-    keyed = []  # (sort key, edge); the keys are the formula's own
-    seen_slots = set()
+    # (u's index, v's index, label) with u the lesser: a direct sharing is
+    # read off occ from its lesser end, a chain walked from the first of its
+    # two slots (clause index, variable), and its far slot skipped later
+    found, far_slots = [], set()
     for cidx in three:
-        for v in sorted({var_of(l) for l in phi.clauses[cidx]}):
-            if (cidx, v) in seen_slots:
-                continue
-            end_idx, end_var, _, _ = _walk(phi, cidx, v)
-            if len(phi.clauses[end_idx]) != 3:
-                raise ReducerInvariantError("chain ended in a non-3-clause")
-            seen_slots.add((cidx, v))
-            seen_slots.add((end_idx, end_var))
-            key = sorted((phi.keys[cidx], phi.keys[end_idx]))
-            keyed.append((key, MultiEdge(phi.clauses[cidx], phi.clauses[end_idx], v)))
-    keyed.sort(key=lambda pair: pair[0])
-    return ClauseMultigraph(frozenset(phi.clauses[i] for i in three), [e for _, e in keyed])
+        for lit in clauses[cidx]:
+            v = lit if lit > 0 else -lit
+            first, second = occ[v]
+            if first[0] == second[0]:
+                raise ContractViolation(f"variable {v} occurs twice in clause {clauses[cidx]}")
+            other = second[0] if first[0] == cidx else first[0]
+            if len(clauses[other]) == 3:
+                if other > cidx:
+                    found.append((cidx, other, v))
+            elif (cidx, v) not in far_slots:
+                end_idx, end_var, _, _ = _walk(phi, cidx, v)
+                if len(clauses[end_idx]) != 3:
+                    raise ReducerInvariantError("chain ended in a non-3-clause")
+                far_slots.add((end_idx, end_var))
+                found.append((cidx, end_idx, v))
+    # a clause's literals ascend by variable, so ties sort in discovery order
+    found.sort()
+    edges = [MultiEdge(clauses[u], clauses[w], v) for u, w, v in found]
+    return ClauseMultigraph(frozenset(clauses[i] for i in three), edges)
 
 
 # -- polynomial 2-CNF ----------------------------------------------------------
@@ -281,15 +292,17 @@ def bisect_multigraph(graph: ClauseMultigraph, seed: int = 0) -> Partition:
         return finish(best[1])
 
     # Kernighan-Lin on vertex indices: swapping i in A with j in B lowers
-    # the cut by d[i] + d[j] - 2*w[i][j], where d is external minus internal
+    # the cut by d[i] + d[j] - 2*w(i, j), where d is external minus internal
     # edge count and w counts the edges between i and j.  Each pass takes
-    # the first pair of greatest positive gain in (A order, B order).
+    # the first pair of greatest positive gain in (A order, B order).  With
+    # B ordered by (-d, index), i's best partner among its non-neighbours is
+    # the first of them there; its neighbours in B are checked one by one.
     index = {v: i for i, v in enumerate(verts)}
     pairs = [(index[e.u], index[e.v]) for e in edges]
-    w = [[0] * nv for _ in range(nv)]
+    nbrs = [{} for _ in range(nv)]  # neighbour -> w
     for u, v in pairs:
-        w[u][v] += 1
-        w[v][u] += 1
+        nbrs[u][v] = nbrs[u].get(v, 0) + 1
+        nbrs[v][u] = nbrs[v].get(u, 0) + 1
     rng = random.Random(seed)
     best = None
     for _ in range(KL_RESTARTS):
@@ -299,27 +312,46 @@ def bisect_multigraph(graph: ClauseMultigraph, seed: int = 0) -> Partition:
         for i in order[: (nv + 1) // 2]:
             in_a[i] = True
         cut = sum(1 for u, v in pairs if in_a[u] != in_a[v])
+        d = [0] * nv
+        for u, v in pairs:
+            s = 1 if in_a[u] != in_a[v] else -1
+            d[u] += s
+            d[v] += s
         while True:
-            d = [0] * nv
-            for u, v in pairs:
-                s = 1 if in_a[u] != in_a[v] else -1
-                d[u] += s
-                d[v] += s
             a_side = [i for i in range(nv) if in_a[i]]
-            b_side = [j for j in range(nv) if not in_a[j]]
+            # sorted is stable, also reversed: equal d stay in index order
+            b_order = sorted((j for j in range(nv) if not in_a[j]), key=d.__getitem__, reverse=True)
+            d_max = d[b_order[0]]
             best_gain, best_pair = 0, None
             for i in a_side:
-                wi = w[i]
-                row = [d[j] - 2 * wi[j] for j in b_side]
-                top = max(row)
+                if d[i] + d_max <= best_gain:
+                    continue  # not even B's greatest d beats the best gain
+                nb = nbrs[i]
+                for j in b_order:
+                    if j not in nb:
+                        break
+                # j is the first non-neighbour, or the last of B if none is
+                top, pick = d[j] - 2 * nb.get(j, 0), j
+                for k, c in nb.items():
+                    if not in_a[k]:
+                        g = d[k] - 2 * c
+                        if g > top or g == top and k < pick:
+                            top, pick = g, k
                 if d[i] + top > best_gain:
-                    best_gain = d[i] + top
-                    best_pair = (i, b_side[row.index(top)])
+                    best_gain, best_pair = d[i] + top, (i, pick)
             if best_pair is None:
                 break
             i, j = best_pair
             in_a[i], in_a[j] = False, True
             cut -= best_gain
+            # the edges between i and j stay cut; every other edge at i or
+            # j flips, and so does its term in d at both ends
+            w_ij = nbrs[i].get(j, 0)
+            d[i], d[j] = 2 * w_ij - d[i], 2 * w_ij - d[j]
+            for x in best_pair:
+                for k, c in nbrs[x].items():
+                    if k != i and k != j:
+                        d[k] += 2 * c if in_a[k] != in_a[x] else -2 * c
         key = (cut, tuple(i for i in range(nv) if in_a[i]))
         if best is None or key < best:
             best = key

@@ -335,55 +335,80 @@ def _incidence(phi: Formula) -> tuple:
     articulation-point DFS (Hopcroft-Tarjan) over the variable-clause
     incidence graph, kept on the formula so that R12, R13 and the solvers
     share one search.  Each DFS tree, rooted at its smallest clause, gives
-    a component.
+    a component.  A variable in exactly two distinct clauses is searched as
+    an edge between them, and it is a cut variable exactly when that edge
+    is a bridge; every other variable is a vertex.
 
     hinge is R13's: None, or (x, side) with x the smallest cut variable
     that separates a side of at most SUBFORMULA_VAR_CAP variables, x
     included, and side the ascending clause indices of the first small side
     in order of smallest clause.  A child subtree of x with low >= disc(x)
-    is a separated side; the rest of x's component, which holds the root,
-    is one more and comes first.
+    is a separated side, and so is the subtree below a bridge x; the rest
+    of x's component, which holds the root, is one more and comes first.
     """
     if phi._incidence is not None:
         return phi._incidence
     m, clauses, occ = phi.m, phi.clauses, phi.occ
-    variables = list(occ)
     # vertices: clause i is i, variable variables[k] is m + k.  A vertex's
     # neighbours are read off its clause's literals or its occurrence
     # entries; a repeated one is a repeated edge and changes nothing below.
-    vertex = {}
-    for k, v in enumerate(variables, m):
-        vertex[v] = vertex[-v] = k
-    lit_vertex = vertex.__getitem__
+    # A literal of an edge variable x maps to ~x instead, and its far end
+    # seen from clause u is ends[x] - u.
+    link, ends, variables = {}, {}, []
+    for v, oc in occ.items():
+        if len(oc) == 2 and oc[0][0] != oc[1][0]:
+            link[v] = link[-v] = ~v
+            ends[v] = oc[0][0] + oc[1][0]
+        else:
+            link[v] = link[-v] = m + len(variables)
+            variables.append(v)
+    link_of = link.__getitem__
     size = m + len(variables)
     disc = [0] * size  # preorder position plus one; 0 = unvisited
     low = [0] * size
     end = [0] * size  # the subtree of u is order[disc[u] - 1 : end[u]]
-    nvars = [0] * size  # variables in the DFS subtree
+    # variables in the DFS subtree: a vertex variable counts at itself, an
+    # edge variable at the upper end of its tree edge or the lower end of a
+    # back edge, so a separated subtree counts exactly its own
+    nvars = [0] * size
     order = []
     seps = {}  # cut variable -> its separated child subtrees
     cuts = []  # the keys of seps, in order of discovery
     components = []
     counts = []
-    best = None  # (x, its vertex, its component, variables in the rest)
+    best = None  # (x, its component, variables in the rest)
     for root in range(m):
         if disc[root]:
             continue
         first_cut = len(cuts)
         order.append(root)
         disc[root] = low[root] = len(order)
-        stack = [(root, map(lit_vertex, clauses[root]))]
+        # (vertex, its unscanned neighbours, ~x for the edge variable x it
+        # was entered by, else 0)
+        stack = [(root, map(link_of, clauses[root]), 0)]
         while stack:
-            u, it = stack[-1]
+            u, it, via = stack[-1]
             for w in it:
-                if not disc[w]:
+                if w < 0:
+                    if w == via:
+                        continue  # the tree edge itself
+                    edge, w = w, ends[~w] - u
+                    if not disc[w]:
+                        nvars[u] += 1
+                        order.append(w)
+                        disc[w] = low[w] = len(order)
+                        stack.append((w, map(link_of, clauses[w]), edge))
+                        break
+                    if disc[w] < disc[u]:
+                        nvars[u] += 1
+                elif not disc[w]:
                     order.append(w)
                     disc[w] = low[w] = len(order)
                     if w >= m:
                         nvars[w] = 1
-                        stack.append((w, map(_clause_index, occ[variables[w - m]])))
+                        stack.append((w, map(_clause_index, occ[variables[w - m]]), 0))
                     else:
-                        stack.append((w, map(lit_vertex, clauses[w])))
+                        stack.append((w, map(link_of, clauses[w]), 0))
                     break
                 if disc[w] < low[u]:
                     low[u] = disc[w]
@@ -395,24 +420,27 @@ def _incidence(phi: Formula) -> tuple:
                     if low[u] < low[p]:
                         low[p] = low[u]
                     nvars[p] += nvars[u]
-                    if low[u] >= disc[p] and p >= m:
-                        if p not in seps:
-                            cuts.append(p)
-                        seps.setdefault(p, []).append(u)
+                    if via:
+                        x = ~via if low[u] > disc[p] else 0
+                    else:
+                        x = variables[p - m] if p >= m and low[u] >= disc[p] else 0
+                    if x:
+                        if x not in seps:
+                            cuts.append(x)
+                        seps.setdefault(x, []).append(u)
         comp = tuple(sorted(v for v in order[disc[root] - 1 :] if v < m))
         components.append(comp)
         counts.append(nvars[root])
-        for w in cuts[first_cut:]:
-            x = variables[w - m]
+        for x in cuts[first_cut:]:
             if best is None or x < best[0]:
-                sizes = [nvars[c] for c in seps[w]]
+                sizes = [nvars[c] for c in seps[x]]
                 rest = nvars[root] - sum(sizes)
                 if rest <= SUBFORMULA_VAR_CAP or min(sizes) < SUBFORMULA_VAR_CAP:
-                    best = (x, w, comp, rest)
+                    best = (x, comp, rest)
     hinge = None
     if best is not None:
-        x, w, comp, rest = best
-        subtrees = [order[disc[c] - 1 : end[c]] for c in seps[w]]
+        x, comp, rest = best
+        subtrees = [order[disc[c] - 1 : end[c]] for c in seps[x]]
         if rest <= SUBFORMULA_VAR_CAP:
             inside = {v for tree in subtrees for v in tree}
             side = tuple(i for i in comp if i not in inside)
@@ -420,7 +448,7 @@ def _incidence(phi: Formula) -> tuple:
             # the sides are disjoint: the least sorted one has the least clause
             side = min(
                 tuple(sorted(v for v in tree if v < m))
-                for c, tree in zip(seps[w], subtrees)
+                for c, tree in zip(seps[x], subtrees)
                 if nvars[c] < SUBFORMULA_VAR_CAP
             )
         hinge = (x, side)

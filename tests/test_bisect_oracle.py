@@ -169,3 +169,20 @@ def test_disconnected_cubic_edge_covers_and_an_isolated_vertex():
     assert_same_bisections(g)
     lone = (both.n + 1, both.n + 2, both.n + 3)
     assert_same_bisections(ClauseMultigraph(g.vertices | {lone}, g.edges))
+
+
+def test_dense_multigraphs_where_a_vertex_neighbours_all_of_b():
+    # the pair search takes i's best non-neighbour from B in (-d, index)
+    # order; here some i has none, so only its neighbours are candidates
+    for nv, extra in ((14, 0), (15, 20), (17, 40)):
+        rng = random.Random(nv)
+        pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+        pairs += [rng.choice(pairs) for _ in range(extra)]
+        edges = [MultiEdge(vertex(i), vertex(j), ("chain", k)) for k, (i, j) in enumerate(pairs)]
+        assert_same_bisections(ClauseMultigraph(frozenset(map(vertex, range(nv))), edges))
+    # a star of parallel edges: its centre neighbours every vertex
+    edges = [
+        MultiEdge(vertex(0), vertex(j), ("chain", 2 * j + k)) for j in range(1, 16) for k in (0, 1)
+    ]
+    edges += [MultiEdge(vertex(j), vertex(j + 1), ("chain", 100 + j)) for j in range(1, 15, 3)]
+    assert_same_bisections(ClauseMultigraph(frozenset(map(vertex, range(16))), edges))

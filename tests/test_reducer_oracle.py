@@ -2,9 +2,11 @@
 
 The occurrence-list R4 and the articulation-point R13 are checked against
 their naive definitions: all-pairs subsumption, and one clause-component
-pass per variable, by a search of its own.  R8-R11 are checked against
-their earlier versions, which built a set, list or tuple for each
-occurrence and clause they looked at.  R1-R3 and R5-R7, which rewrite the
+pass per variable, by a search of its own; the components, variable
+counts and hinge of the incidence search they read are checked against
+the same passes, on formulas where most variables are searched as edges.
+R8-R11 are checked against their earlier versions, which built a set,
+list or tuple for each occurrence and clause they looked at.  R1-R3 and R5-R7, which rewrite the
 reducer's store, are checked against their definitions on ``Formula``s,
 written with the transforms of ``formula.py``.
 
@@ -549,6 +551,140 @@ def test_r13_settles_the_first_small_side():
         got = apply_rule(phi, "R13")
         assert got == naive_r13(phi) and got[2] == detail, phi
         check_against_naive(phi)
+
+
+# -- the incidence search, degree-2 variables as edges --------------------------
+
+
+def _variable_count(phi: Formula, idxs) -> int:
+    return len({abs(l) for i in idxs for l in phi.clauses[i]})
+
+
+def defined_incidence(phi: Formula) -> tuple:
+    """(components, variable counts, hinge) by definition: union-find
+    components, and the hinge as the least variable x whose removal leaves
+    two or more clause components holding x, one of them with at most
+    SUBFORMULA_VAR_CAP variables, x included; its side is the first such
+    component by smallest clause."""
+    comps = union_find_components(phi)
+    counts = tuple(_variable_count(phi, comp) for comp in comps)
+    for x in sorted(phi.variables):
+        x_clauses = {cidx for cidx, _ in phi.occ.get(x, ())}
+        sides = [c for c in components_without(phi, x) if x_clauses & set(c)]
+        small = [c for c in sides if _variable_count(phi, c) <= SUBFORMULA_VAR_CAP]
+        if len(sides) >= 2 and small:
+            return comps, counts, (x, tuple(small[0]))
+    return comps, counts, None
+
+
+def check_incidence(phi: Formula):
+    assert reducer._incidence(phi) == defined_incidence(phi), phi
+    assert apply_rule(phi, "R13") == naive_r13(phi), phi
+
+
+@st.composite
+def low_degree_formulas(draw, max_degree=2, max_n=24):
+    """Each variable in up to ``max_degree`` slots, the slots shuffled into
+    clauses of one to four: with degree 2, most variables are edges of the
+    incidence search, and chains of short clauses make bridges with sides
+    of every size."""
+    n = draw(st.integers(1, max_n))
+    degrees = draw(st.lists(st.integers(1, max_degree), min_size=n, max_size=n))
+    slots = draw(st.permutations([v for v, k in enumerate(degrees, 1) for _ in range(k)]))
+    clauses = []
+    while slots:
+        k = draw(st.integers(1, 4))
+        clauses.append([v * draw(st.sampled_from((1, -1))) for v in slots[:k]])
+        slots = slots[k:]
+    return Formula(range(1, n + 1), clauses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_degree_formulas())
+def test_incidence_matches_the_definition_on_two_occurrence_formulas(phi):
+    check_incidence(phi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(low_degree_formulas(max_degree=3))
+def test_incidence_matches_the_definition_on_mixed_degrees(phi):
+    check_incidence(phi)
+
+
+def bridged_cycles(small: int, big: int, small_first: bool) -> Formula:
+    """Two cycles of 2-clauses joined by variable 1, which is in one clause
+    of each and so is searched as an edge, a bridge: the sides hold
+    ``small`` and ``big`` variables, 1 included.  Clause 0 holds literal 1;
+    it lies on the small side when small_first."""
+    vs = list(range(2, small + big))
+    sides = [cycle(vs[: small - 1]), cycle(vs[small - 1 :])]
+    sides[0][0].append(1 if small_first else -1)
+    sides[1][0].append(-1 if small_first else 1)
+    return Formula(range(1, small + big), sides[0] + sides[1])
+
+
+def test_incidence_degree_two_bridges_at_the_cap():
+    # sides of 9 and 10 variables, the bridge included, are within the cap;
+    # 11 is not, and no other variable is a cut
+    for small_first in (True, False):
+        for small in (9, 10, 11):
+            phi = bridged_cycles(small, 14, small_first)
+            assert phi.degree(1) == 2
+            check_incidence(phi)
+            hinge = reducer._incidence(phi)[2]
+            if small <= SUBFORMULA_VAR_CAP:
+                assert hinge[0] == 1 and _variable_count(phi, hinge[1]) == small
+            else:
+                assert hinge is None
+            check_against_naive(phi)
+
+
+def test_incidence_parallel_degree_two_variables_are_no_cut():
+    # 1 and 2 are both held by the same two clauses, one on each of two
+    # cycles: removing either leaves the other, so neither is a cut
+    small, big = cycle([3, 4, 5, 6]), cycle(list(range(7, 17)))
+    small[0] += [1, 2]
+    big[0] += [-1, -2]
+    phi = Formula(range(1, 17), small + big)
+    assert [{i for i, _ in phi.occ[v]} for v in (1, 2)] == [{0, 1}] * 2
+    check_incidence(phi)
+    assert reducer._incidence(phi)[2] is None
+    check_against_naive(phi)
+    # three variables shared by the same two clauses and nothing else
+    check_incidence(Formula([1, 2, 3], [[1, 2, 3], [-1, -2, -3]]))
+
+
+def test_incidence_variable_held_twice_by_one_clause_stays_a_vertex():
+    # 1 occurs twice, both times in clause 0, so it is no edge; clause 0
+    # hangs off a cycle of 12 more variables by the bridge 2, and the side
+    # it makes holds 1 and 2
+    for twice in ([1, -1], [1, 1]):
+        big = cycle(list(range(3, 15)))
+        big[0].append(-2)
+        phi = Formula(range(1, 15), [twice + [2]] + big)
+        assert phi.degree(1) == 2 == phi.degree(2)
+        check_incidence(phi)
+        assert reducer._incidence(phi)[1:] == ((14,), (2, (0,)))
+        check_against_naive(phi)
+
+
+def test_incidence_mixes_degree_two_and_degree_three_cuts():
+    # the degree-4 cut variable ``vertex`` is on two cycles, and the
+    # degree-2 bridge ``bridge`` hangs three clauses off the larger one:
+    # both separate a small side, and the lesser variable is the hinge,
+    # whichever its degree
+    for bridge, vertex in ((2, 1), (1, 2)):
+        big = cycle([-vertex] + list(range(6, 18)))
+        big[2].append(bridge)
+        clauses = cycle([vertex, 3, 4, 5]) + big
+        clauses += [[-bridge, 21, 22], [-21, -22, 23], [-23, 21]]
+        phi = Formula(list(range(1, 18)) + [21, 22, 23], clauses)
+        assert (phi.degree(bridge), phi.degree(vertex)) == (2, 4)
+        check_incidence(phi)
+        assert reducer._incidence(phi)[2][0] == 1
+        check_against_naive(phi)
+    for seed in range(40):
+        check_incidence(block_tree(random.Random(seed), 2 + seed % 6))
 
 
 # -- pending clauses ---------------------------------------------------------
