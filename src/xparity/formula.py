@@ -70,12 +70,13 @@ class Formula:
     index, literal)) is built eagerly; it is the backbone of the reduction
     rules, whose store starts as a view of it.  The search of the
     variable-clause incidence graph that gives the clause components and
-    R13's hinge (``reducer._incidence``) is filled in on first use.
+    R13's hinge (``reducer._incidence``) is filled in on first use, and so
+    is the list of variables where R8-R11 can fire (``reducer._sites``).
     ``_base`` holds the clauses of the last fixpoint in its ancestry
     (``reduce_formula``).
     """
 
-    __slots__ = ("variables", "clauses", "keys", "sets", "occ", "_incidence", "_base")
+    __slots__ = ("variables", "clauses", "keys", "sets", "occ", "_incidence", "_sites", "_base")
 
     def __init__(self, variables: Iterable[int], clauses: Iterable[Iterable[Literal]]):
         clauses = list(map(tuple, clauses))
@@ -194,6 +195,7 @@ class Formula:
         object.__setattr__(self, "sets", tuple(sets))
         object.__setattr__(self, "occ", occ)
         object.__setattr__(self, "_incidence", None)
+        object.__setattr__(self, "_sites", None)
         object.__setattr__(self, "_base", parent._base)
         return self
 

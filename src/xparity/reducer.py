@@ -23,11 +23,13 @@ derived from a fixpoint starts with only the clauses that fixpoint lacks
 firing, with the clauses of the formula it fired on.  R1 reads a flag.
 
 R8, R10 and R11 read the literal sets the formula keeps beside its
-clauses.  R12 and R13 read one search of the formula's incidence graph,
-kept on the formula: its components and R13's hinge with the side to
-settle.  So a pass that checks both searches once, a solver that splits a
-formula the reducer returned reuses the search, and only a component or
-side within the cap is derived as a subformula.
+clauses.  R8-R11 look only at the variables where they can fire, listed
+by one pass kept on the formula (``_sites``): in a reduced 2-occurrence
+formula, none.  R12 and R13 read one search of the formula's incidence
+graph, kept on the formula: its components and R13's hinge with the side
+to settle.  So a pass that checks both searches once, a solver that
+splits a formula the reducer returned reuses the search, and only a
+component or side within the cap is derived as a subformula.
 
 Rule summary (ids follow the priority order):
   R1  empty clause present            -> parity 0
@@ -228,11 +230,43 @@ def _r7(st: Store):
     return ("changed", st, f"1-variable {v}: {lit}=1, rest of {clause} false")
 
 
+def _sites(phi: Formula) -> dict:
+    """The variables where R8-R11 can fire, ascending, as the keys of a
+    dict (R11 tests membership), kept on the formula.  Every variable that
+    occurs is one, but for a variable v of degree 2 whose two distinct
+    clauses are not units and share no other variable: no rule can fire at
+    v, since R8 at v needs a literal in both clauses, R9 a twin in both,
+    R10 a clause holding lit whose other literals lie in the clause holding
+    -lit, and R11's (p q) and (-p -q) share both variables.  So a
+    2-occurrence formula with no unit and no variable held twice lists none
+    exactly when no two clauses share two variables (P3 of a reduced
+    formula).  One pass over the sorted variables, reading the first
+    clause of each of degree 2."""
+    sites = phi._sites
+    if sites is None:
+        clauses, sets, occ = phi.clauses, phi.sets, phi.occ
+        sites = {}
+        for v in sorted(occ):
+            oc = occ[v]
+            if len(oc) == 2:
+                i, j = oc[0][0], oc[1][0]
+                if i != j and len(clauses[i]) > 1 and len(clauses[j]) > 1:
+                    other = sets[j]
+                    for l in clauses[i]:
+                        if (l in other or -l in other) and l != v and l != -v:
+                            break
+                    else:
+                        continue
+            sites[v] = None
+        object.__setattr__(phi, "_sites", sites)
+    return sites
+
+
 def _r8(phi: Formula):
-    sets = phi.sets
-    for v in sorted(phi.occ):
+    sets, occ = phi.sets, phi.occ
+    for v in _sites(phi):
         common = None
-        for cidx, _ in phi.occ[v]:
+        for cidx, _ in occ[v]:
             common = sets[cidx] if common is None else common & sets[cidx]
         # a literal besides v and -v
         if len(common) > (v in common) + (-v in common):
@@ -244,12 +278,13 @@ def _r8(phi: Formula):
 def _r9(phi: Formula):
     """Twins a, b: the clauses holding a are those holding b, once per copy,
     and so for -a and -b.  So only variables with equal clause-index lists
-    can be twins, and only the first clause of such a list is scanned."""
+    can be twins, both listed by ``_sites``, and only the first clause of
+    such a list is scanned."""
     occ = phi.occ
     seen = {}  # clause-index list -> the first variable with it
     starts = set()  # the first clause of each list two variables share
-    for v, occs in occ.items():
-        key = tuple(map(_clause_index, occs))
+    for v in _sites(phi):
+        key = tuple(map(_clause_index, occ[v]))
         if seen.setdefault(key, v) != v:
             starts.add(key[0])
     for k in sorted(starts):
@@ -276,9 +311,9 @@ def _r9(phi: Formula):
 def _r10(phi: Formula):
     """The first clause holding lit (v before -v, least v first) whose other
     literals all lie in a clause holding -lit strips -lit from that clause."""
-    clauses, sets = phi.clauses, phi.sets
-    for v in sorted(phi.occ):
-        occs = phi.occ[v]
+    clauses, sets, occ = phi.clauses, phi.sets, phi.occ
+    for v in _sites(phi):
+        occs = occ[v]
         for lit in (v, -v):
             for ai, la in occs:
                 # a tautology holding lit also holds -lit, which no clause
@@ -303,13 +338,19 @@ def _r10(phi: Formula):
 
 
 def _r11(phi: Formula):
-    # a canonical (b a) with var(b) < var(a) has the complement (-b -a)
+    # a canonical (b a) with var(b) < var(a) has the complement (-b -a);
+    # the two share a's variable and b's, so only a listed a can pair
+    sites = _sites(phi)
+    if not sites:
+        return None
     two = set()
     for clause in phi.clauses:
         if len(clause) == 2:
             b, a = clause
             if b == a or b == -a:
                 continue  # duplicated variable, earlier rules handle it
+            if abs(a) not in sites:
+                continue
             other = (-b, -a)
             if other in two:
                 target = -b if a > 0 else b

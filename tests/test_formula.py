@@ -67,7 +67,7 @@ def oracle_slots(variables, clauses):
     for idx, clause in enumerate(clauses):
         for lit in clause:
             occ.setdefault(abs(lit), []).append((idx, lit))
-    return frozenset(variables), clauses, keys, tuple(map(frozenset, clauses)), occ, None, None
+    return frozenset(variables), clauses, keys, tuple(map(frozenset, clauses)), occ, None, None, None
 
 
 def raw_clause_lists(n=6):

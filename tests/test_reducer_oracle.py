@@ -6,9 +6,11 @@ pass per variable, by a search of its own; the components, variable
 counts and hinge of the incidence search they read are checked against
 the same passes, on formulas where most variables are searched as edges.
 R8-R11 are checked against their earlier versions, which built a set,
-list or tuple for each occurrence and clause they looked at.  R1-R3 and R5-R7, which rewrite the
-reducer's store, are checked against their definitions on ``Formula``s,
-written with the transforms of ``formula.py``.
+list or tuple for each occurrence and clause they looked at, and the
+variables they look at against every place a full scan finds them
+firing.  R1-R3 and R5-R7, which rewrite the reducer's store, are checked
+against their definitions on ``Formula``s, written with the transforms of
+``formula.py``.
 
 Every formula is checked twice: the single rule application must return
 exactly what the definition returns, and the whole fixpoint must give the
@@ -19,6 +21,7 @@ is also checked against one started afresh.
 """
 
 import functools
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -45,6 +48,8 @@ from xparity.reducer import (
     subformula,
 )
 from xparity.store import Store
+
+P3 = "p3_clause_pair_one_common_2var"
 
 
 # -- the naive rules ---------------------------------------------------------
@@ -685,6 +690,105 @@ def test_incidence_mixes_degree_two_and_degree_three_cuts():
         check_against_naive(phi)
     for seed in range(40):
         check_incidence(block_tree(random.Random(seed), 2 + seed % 6))
+
+
+# -- where R8-R11 can fire ---------------------------------------------------
+
+
+def firing_sites(phi: Formula) -> set:
+    """Every variable where a full scan finds R8, R9, R10 or R11 applicable:
+    the dominated variable, both twins, the variable of the stripped
+    literal and both variables of a (p q), (-p -q) pair."""
+    sets, occ, found = phi.sets, phi.occ, set()
+    for v, occs in occ.items():
+        if frozenset.intersection(*(sets[c] for c, _ in occs)) - {v, -v}:
+            found.add(v)
+        for ai, la in occs:
+            for bi, lb in occs:
+                if lb == -la and bi != ai and sets[ai] - {la} <= sets[bi] - {lb}:
+                    found.add(v)
+    holding = {l: _holding(phi, l) for v in occ for l in (v, -v)}
+    for a, b in itertools.combinations(sorted(occ), 2):
+        for lb in (b, -b):
+            if holding[a] == holding[lb] and holding[-a] == holding[-lb]:
+                found |= {a, b}
+    twos = {s for c, s in zip(phi.clauses, sets) if len(c) == 2 and len({*map(var_of, c)}) == 2}
+    for s in twos:
+        if frozenset(-l for l in s) in twos:
+            found |= {*map(var_of, s)}
+    return found
+
+
+def check_sites(phi: Formula):
+    listed = reducer._sites(phi)
+    assert list(listed) == sorted(listed), phi
+    assert firing_sites(phi) <= listed.keys(), phi
+    for rid in ("R8", "R9", "R10", "R11"):
+        assert apply_rule(phi, rid) == NAIVE[rid](phi), (rid, phi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(raw_formulas(), low_degree_formulas(), low_degree_formulas(max_degree=3)))
+def test_sites_hold_every_firing_site(phi):
+    check_sites(phi)
+
+
+def test_sites_on_targeted_cases():
+    cases = [
+        # 1 dominates 2 while one clause holds 1 twice
+        (Formula([1, 2], [[1, 1, -2], [1, 2]]), {1, 2}, "R8"),
+        # 2, of degree 2, shares both its clauses with 1, of degree 3
+        (Formula(range(1, 6), [[1, 2, 3], [1, -2, 4], [-1, 5], [3, -4, -5]]), {1, 2}, "R8"),
+        # the parallel degree-2 variables 1 and 2 are twins; 3 and 4 are
+        # in no other clause together
+        (Formula(range(1, 5), [[1, 2, 3], [-1, -2, 4], [-3, -4]]), {1, 2}, "R9"),
+        (Formula(range(1, 5), [[1, 2, 3], [1, 2, 4], [-3, -4]]), {1, 2}, "R9"),
+        (Formula(range(1, 5), [[1, 2], [-1, -2], [1, 3, 4], [-3, -4]]), {1, 2, 3, 4}, "R11"),
+        # 1 is in a unit
+        (Formula(range(1, 4), [[1], [-1, 2], [-2, 3], [2, -3]]), {1, 2, 3}, "R10"),
+        # one clause holds 1 twice, and 2 is in a unit
+        (Formula(range(1, 3), [[1, -1, 2], [-2]]), {1, 2}, "R8"),
+        # 1 has degree 1
+        (Formula(range(1, 4), [[1, 2, 3], [-2, -3]]), {1, 2, 3}, "R8"),
+    ]
+    for phi, listed, rid in cases:
+        assert reducer._sites(phi).keys() == listed, phi
+        assert apply_rule(phi, rid) is not None, (rid, phi)
+        check_sites(phi)
+        check_against_naive(phi)
+
+
+def plain_two_occurrence(phi: Formula) -> bool:
+    """Every variable in two clauses, every clause of two or more distinct
+    variables: no unit, no variable held twice."""
+    return all(len(occs) == 2 for occs in phi.occ.values()) and all(
+        len({*map(var_of, c)}) == len(c) > 1 for c in phi.clauses
+    )
+
+
+def test_reduced_two_occurrence_formulas_list_nothing():
+    # on a plain 2-occurrence formula _sites lists none exactly when P3
+    # holds, two clauses sharing at most one 2-variable, and a reduced one
+    # meets P3: R8-R11 have nothing to scan there.  The unreduced inputs,
+    # some of which fail P3, check the other direction
+    rng = random.Random(29)
+    phis = [gen_edge_cover_formula(cubic_graph(rng, nv)) for nv in (14, 20, 32, 50, 80)]
+    for _ in range(20):
+        phis.append(signed_cycles(rng, [rng.randint(3, 40) for _ in range(rng.randint(1, 6))]))
+    phis += [gen_random_docc(rng.randint(8, 40), 2, 2, 4, seed=s) for s in range(60)]
+    seen = {True: 0, False: 0}
+    for phi in phis:
+        out = reduce_formula(phi)
+        checked = [phi] if plain_two_occurrence(phi) else []
+        if out.parity is None:
+            assert plain_two_occurrence(out.formula), out.formula
+            assert reducer.check_reduced_properties(out.formula).results[P3], out.formula
+            checked.append(out.formula)
+        for psi in checked:
+            p3 = reducer.check_reduced_properties(psi).results[P3]
+            assert (not reducer._sites(psi)) == p3, psi
+            seen[p3] += 1
+    assert seen[True] >= 50 and seen[False] >= 20, seen
 
 
 # -- pending clauses ---------------------------------------------------------
