@@ -69,7 +69,7 @@ def _run_solver(name: str, phi: Formula, tel: Telemetry, seed: int) -> int:
     if name == "positive-fib":
         return solve_positive_fib(phi, telemetry=tel)
     if name == "2cnf":
-        return solve_2cnf(phi)
+        return solve_2cnf(phi, tel)
     if name == "brute":
         return brute_parity(phi)
     raise ValueError(f"unknown solver {name}")

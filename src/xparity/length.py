@@ -59,7 +59,6 @@ def measure_mu(phi: Formula) -> Fraction:
 
 @dataclass
 class LocalStructure:
-    y_x: frozenset
     ext_x: frozenset
     proper: bool
 
@@ -88,11 +87,7 @@ def compute_ext(phi: Formula, x: int) -> LocalStructure:
     ]
     disjoint = sum(len(s) for s in sides) == len({v for s in sides for v in s})
     all_three = all(phi.degree(v) == 3 for v in inside)
-    return LocalStructure(
-        y_x=y_x,
-        ext_x=ext,
-        proper=disjoint and all_three,
-    )
+    return LocalStructure(ext_x=ext, proper=disjoint and all_three)
 
 
 # -- step classification -----------------------------------------------------------

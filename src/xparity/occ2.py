@@ -167,12 +167,12 @@ def _check_2cnf(clauses):
             raise ContractViolation(f"clause {c} too long for the 2-CNF solver")
 
 
-def solve_2cnf(phi: Formula) -> int:
+def solve_2cnf(phi: Formula, telemetry: Telemetry | None = None) -> int:
     """Parity of a 2-CNF 2-occ formula in polynomial time, by ``solve_occ2``:
     its reduction consumes path components and its peel settles each cycle
     left at the fixpoint by one walk round it (``_break_cycle``)."""
     _check_2cnf(phi.clauses)
-    return solve_occ2(phi)
+    return solve_occ2(phi, telemetry)
 
 
 def _break_cycle(phi: Formula, comp) -> int:

@@ -65,7 +65,6 @@ from .oracle import brute_parity
 from .store import Store
 
 SUBFORMULA_VAR_CAP = 10  # threshold from the isolate/semi-isolate rules
-SUBSET_ENUMERATION_LIMIT = 500_000  # connected subsets the property report may list
 
 _clause_index = itemgetter(0)  # of an occurrence entry (clause index, literal)
 
@@ -160,9 +159,8 @@ def _r4(st: Store):
     """The least pair (key i, key j) with clause i a proper subset of clause
     j, over the pairs with i or j pending; drop clause j.  A subset or a
     superset of a pending clause shares a variable with it, so its
-    occurrence lists hold every such pair; an empty clause shares none, but
-    in the production order R1 has ruled it out before R4 knows anything,
-    and a rule order that runs R4 first scans in full."""
+    occurrence lists hold every such pair; an empty clause shares none, so
+    the store scans in full again once one is added."""
     clauses, sets, keys, occ = st.clauses, st.sets, st.keys, st.occ
     ids = st.pending["R4"]
     best = None
@@ -638,11 +636,6 @@ def reduce_formula(phi: Formula) -> ReductionOutcome:
             return ReductionOutcome(phi, None, trace, potential)
 
 
-def is_fixpoint(phi: Formula) -> bool:
-    st = Store(phi)
-    return all(fn(st) is None for _, fn in _RULES)
-
-
 # -- reduced-formula property report ----------------------------------------
 
 
@@ -659,45 +652,39 @@ class PropertyReport:
         return all(self.results.values())
 
 
-def _connected_subsets_within_cap(phi: Formula):
-    """All connected, non-empty, proper clause subsets with at most
-    SUBFORMULA_VAR_CAP variables.  Variable count grows monotonically with
-    the subset, so pruning at the cap is exact."""
-    m = phi.m
-    adj: list[set] = [set() for _ in range(m)]
-    for occs in phi.occ.values():
-        idxs = [cidx for cidx, _ in occs]
-        for i in idxs:
-            for j in idxs:
-                if i != j:
-                    adj[i].add(j)
-    varsets = [frozenset(var_of(l) for l in c) for c in phi.clauses]
-    out = []
-    seen = set()
-    for start in range(m):
-        base = frozenset((start,))
-        if len(varsets[start]) > SUBFORMULA_VAR_CAP:
-            continue
-        stack = [(base, varsets[start])]
-        seen.add(base)
-        while stack:
-            subset, vs = stack.pop()
-            out.append((subset, vs))
-            if len(out) > SUBSET_ENUMERATION_LIMIT:
-                raise ReducerInvariantError("subformula enumeration exploded")
-            for c in subset:
-                for nb in adj[c]:
-                    # fix the minimum element to avoid revisits across starts
-                    if nb <= start or nb in subset:
+def _small_interfaces(phi: Formula):
+    """P5's witnesses: each (clauses, shared variables) of a connected,
+    proper clause set with at most SUBFORMULA_VAR_CAP variables that shares
+    fewer than two of them with the other clauses.  Such a set sharing only
+    x, or nothing (then for any x), is a union of components of the clause
+    graph in which x links nothing, each one itself such a set; so one
+    component search per variable x that occurs finds one exactly when any
+    exists (where none occurs, there is at most one clause)."""
+    clauses, occ, m = phi.clauses, phi.occ, phi.m
+    for x in sorted(occ):
+        seen = [False] * m
+        for root in range(m):
+            if seen[root]:
+                continue
+            seen[root] = True
+            comp, stack, vs = [root], [root], set()
+            while stack:
+                for lit in clauses[stack.pop()]:
+                    v = var_of(lit)
+                    if v in vs:
                         continue
-                    nxt = subset | {nb}
-                    if nxt in seen:
+                    vs.add(v)
+                    if v == x:
                         continue
-                    seen.add(nxt)
-                    nvs = vs | varsets[nb]
-                    if len(nvs) <= SUBFORMULA_VAR_CAP:
-                        stack.append((nxt, nvs))
-    return [(s, v) for s, v in out if len(s) < m]
+                    for i, _ in occ[v]:
+                        if not seen[i]:
+                            seen[i] = True
+                            comp.append(i)
+                            stack.append(i)
+            if len(comp) < m and len(vs) <= SUBFORMULA_VAR_CAP:
+                inside = set(comp)
+                shared = [v for v in sorted(vs) if any(i not in inside for i, _ in occ[v])]
+                yield sorted(comp), shared
 
 
 def check_reduced_properties(phi: Formula) -> PropertyReport:
@@ -721,11 +708,7 @@ def check_reduced_properties(phi: Formula) -> PropertyReport:
             for i, j in itertools.combinations(twos, 2)
             if len(shared := varsets[i] & varsets[j]) > 1
         ),
-        "p5_small_subformula_interface": (
-            (sorted(subset), sorted(shared))
-            for subset, vs in _connected_subsets_within_cap(phi)
-            if len(shared := {v for v in vs if any(i not in subset for i, _ in phi.occ[v])}) < 2
-        ),
+        "p5_small_subformula_interface": _small_interfaces(phi),
     }
     witnesses = {}
     for name, search in found.items():

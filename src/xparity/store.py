@@ -88,6 +88,8 @@ class Store:
         for ids in self.pending.values():
             if ids is not None:
                 ids.add(k)
+        if not clause:  # it shares no variable, so only a full R4 scan reaches it
+            self.pending["R4"] = None
 
     def falsify(self, lits: set):
         """Set every literal of lits to 0, as ``formula.falsify_clause``."""

@@ -107,6 +107,60 @@ def test_solve_telemetry_stream(tmp_path, capsys):
     assert lines and all("kind" in r for r in lines)
 
 
+def test_2cnf_solver_reports_what_occ2_reports(tmp_path, capsys):
+    path = write_instance(tmp_path, parse_dimacs("p cnf 3 2\n1 2 0\n-1 3 0\n"))
+    seen = {}
+    for solver in ("2cnf", "occ2"):
+        sink = tmp_path / f"{solver}.jsonl"
+        code, out, _ = run(
+            capsys, "solve", "--solver", solver, "--input", path, "--telemetry", str(sink)
+        )
+        assert code == 0
+        seen[solver] = (out.replace(f"solver: {solver}", "solver: -"), sink.read_text())
+    assert seen["2cnf"] == seen["occ2"]
+    out, stream = seen["2cnf"]
+    assert "leaves: 1" in out and stream
+
+
+def test_2cnf_solver_refuses_a_long_clause(tmp_path, capsys):
+    path = write_instance(tmp_path, parse_dimacs("p cnf 3 1\n1 2 3 0\n"))
+    code, _, err = run(capsys, "solve", "--solver", "2cnf", "--input", path)
+    assert code == 1
+    assert err == "error: clause (1, 2, 3) too long for the 2-CNF solver\n"
+
+
+def stub_criteria(monkeypatch, *oks) -> list:
+    """Replace the acceptance criteria by stubs returning ``oks``; returns
+    the quick flag of each call."""
+    from xparity import verify
+
+    calls = []
+
+    def stub(ok):
+        def criterion(quick=False):
+            calls.append(quick)
+            return ok, "stub"
+
+        return criterion
+
+    monkeypatch.setattr(verify, "CRITERIA", [(f"s{i}", stub(ok)) for i, ok in enumerate(oks)])
+    return calls
+
+
+def test_verify_fails_on_a_failing_criterion(capsys, monkeypatch):
+    calls = stub_criteria(monkeypatch, True, False)
+    code, out, _ = run(capsys, "verify")
+    assert code == 2 and calls == [False, False]
+    assert "criterion s0: PASS" in out and "criterion s1: FAIL" in out
+
+
+def test_verify_passes_and_runs_quick(capsys, monkeypatch):
+    calls = stub_criteria(monkeypatch, True, True)
+    code, out, _ = run(capsys, "verify", "--quick")
+    assert code == 0 and calls == [True, True]
+    assert "FAIL" not in out and out.splitlines()[-1].startswith("total:")
+
+
 def test_gen_random_roundtrip(capsys):
     code, out, _ = run(capsys, "gen", "--family", "random", "--n", "10", "--d", "2", "--seed", "7")
     assert code == 0

@@ -1,4 +1,5 @@
 import pytest
+from test_reducer_oracle import is_fixpoint
 
 from xparity.generators import (
     GenerationError,
@@ -14,7 +15,7 @@ from xparity.oracle import (
     count_edge_covers,
     count_vertex_covers,
 )
-from xparity.reducer import apply_rule, is_fixpoint
+from xparity.reducer import apply_rule
 
 
 def test_docc_determinism_golden():

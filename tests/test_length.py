@@ -102,7 +102,7 @@ def test_compute_ext_proper_on_circulant():
     phi = circulant_triples(13)
     st = compute_ext(phi, 1)
     assert st.proper
-    assert not st.ext_x and not st.y_x
+    assert not st.ext_x
 
 
 def test_compute_ext_requires_length_three():

@@ -1,11 +1,16 @@
+import itertools
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_reducer_oracle import cycle, is_fixpoint, raw_formulas, two_cycles_at
 
 from xparity.formula import Formula
 from xparity.oracle import brute_parity
 from xparity.reducer import (
+    SUBFORMULA_VAR_CAP,
     apply_rule,
     check_reduced_properties,
-    is_fixpoint,
     reduce_formula,
 )
 
@@ -377,6 +382,69 @@ def test_reduced_properties_on_fixpoints():
         assert report.all_pass, (out.formula, report.results, report.witnesses)
         checked += 1
     assert checked >= 30
+
+
+P5 = "p5_small_subformula_interface"
+
+
+def small_interface(phi: Formula, subset) -> list | None:
+    """The variables the clause set at ``subset`` shares with the other
+    clauses, if it is a P5 violation by definition: non-empty, proper,
+    connected, with at most SUBFORMULA_VAR_CAP variables and fewer than
+    two of them shared."""
+    varsets = [{abs(l) for l in c} for c in phi.clauses]
+    inside = set(subset)
+    vs = set().union(*(varsets[i] for i in inside))
+    outside = set().union(*(varsets[i] for i in range(phi.m) if i not in inside))
+    if not inside or len(inside) == phi.m or len(vs) > SUBFORMULA_VAR_CAP:
+        return None
+    reached, todo = set(), [min(inside)]
+    while todo:
+        i = todo.pop()
+        reached.add(i)
+        todo.extend(j for j in inside - reached if varsets[i] & varsets[j])
+    shared = sorted(vs & outside)
+    return shared if reached == inside and len(shared) < 2 else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(raw_formulas(), raw_formulas(max_n=14, max_m=10)))
+def test_p5_matches_its_definition_over_every_clause_subset(phi):
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(phi.m), k) for k in range(1, phi.m)
+    )
+    violated = any(small_interface(phi, s) is not None for s in subsets)
+    report = check_reduced_properties(phi)
+    assert report.results[P5] == (not violated), phi
+    if violated:
+        subset, shared = report.witnesses[P5]
+        assert small_interface(phi, subset) == shared, (phi, subset, shared)
+
+
+def test_p5_at_the_cap():
+    # a cycle of 2-clauses beside another, or joined to it at variable 1: a
+    # side of 10 variables, 1 included, is a violation and one of 11 is not
+    cap = SUBFORMULA_VAR_CAP
+    for k in (cap, cap + 1):
+        clauses = cycle(range(1, k + 1)) + cycle(range(k + 1, 2 * k + 3))
+        apart = Formula(range(1, 2 * k + 3), clauses)
+        joined = two_cycles_at(k - 1, 12, True)
+        for phi, shared in ((apart, []), (joined, [1])):
+            report = check_reduced_properties(phi)
+            assert report.results[P5] == (k > cap)
+            if k == cap:
+                subset, got = report.witnesses[P5]
+                assert got == shared
+                assert {abs(l) for i in subset for l in phi.clauses[i]} == set(range(1, k + 1))
+
+
+def test_p5_holds_on_a_fixpoint_of_a_hundred_variables():
+    from xparity.generators import gen_random_docc
+
+    out = reduce_formula(gen_random_docc(100, 6, 2, 3, seed=5))
+    assert out.parity is None and out.formula.n == 99 and out.formula.m == 235
+    report = check_reduced_properties(out.formula)
+    assert report.all_pass, report.witnesses
 
 
 def test_reduced_properties_witnesses():

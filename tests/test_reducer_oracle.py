@@ -43,7 +43,6 @@ from xparity.oracle import SimpleGraph, brute_parity
 from xparity.reducer import (
     SUBFORMULA_VAR_CAP,
     apply_rule,
-    is_fixpoint,
     reduce_formula,
     subformula,
 )
@@ -280,12 +279,12 @@ REFERENCE = [
 ]
 
 
-def reference_reduce(phi: Formula):
+def reference_reduce(phi: Formula, rules=REFERENCE):
     """The fixpoint by definition: after every firing, every rule scans
-    the whole formula again, from R1."""
+    the whole formula again, from the first of ``rules``."""
     trace, potential = [], [(phi.n, phi.m, phi.length)]
     while True:
-        for rid, rule in REFERENCE:
+        for rid, rule in rules:
             res = rule(phi)
             if res is None:
                 continue
@@ -324,6 +323,12 @@ def check_against_naive(phi: Formula, fired: dict | None = None):
         for rid, _ in fast.trace:
             if rid in fired:
                 fired[rid] += 1
+
+
+def is_fixpoint(phi: Formula) -> bool:
+    """No rule fires on phi, with nothing known about it."""
+    st = Store(phi)
+    return all(fn(st) is None for _, fn in reducer._RULES)
 
 
 def check_scoped_fixpoint(phi: Formula):
@@ -932,6 +937,23 @@ def test_scoped_r4_firing_keeps_its_scope(monkeypatch):
         ("R4", "(2,) subsumes (2, -4)"),
     ]
     assert scopes[0] is None and None not in scopes[1:], scopes
+
+
+def test_r4_finds_an_empty_clause_added_after_its_full_scan(monkeypatch):
+    # unit 1 falsifies (-1) to (), which shares no variable: no pending
+    # scan reaches it, so adding it makes R4 scan in full again
+    phi = Formula([1, 2, 3], [[1], [-1], [2, 3]])
+    store = Store(phi)
+    assert reducer._r4(store) is None and store.pending["R4"] == set()
+    assert reducer._r5(store)[2] == "unit 1"
+    assert reducer._r4(store)[2] == "() subsumes (2, 3)"
+    # in an order that checks R4 before R1, the engine sees it as well
+    order = ["R4", *(f"R{i}" for i in range(1, 14) if i != 4)]
+    rules, reference = dict(reducer._RULES), dict(REFERENCE)
+    monkeypatch.setattr(reducer, "_RULES", tuple((rid, rules[rid]) for rid in order))
+    want = reference_reduce(phi, [(rid, reference[rid]) for rid in order])
+    assert want[2] == [("R5", "unit 1"), ("R4", "() subsumes (2, 3)"), ("R1", "empty clause")]
+    assert outcome(reduce_formula(phi)) == want
 
 
 # -- reduction from a parent's fixpoint --------------------------------------

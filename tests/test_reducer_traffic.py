@@ -1,8 +1,9 @@
 """The reducer on the calls the solvers make, where its rule chains are
 long: every ``reduce_formula`` call that ``solve_occ2`` and
 ``solve_length`` make on a few fixed seeded instances, against the
-reference loop of ``test_reducer_oracle``, and the number of formulas one
-call builds.
+reference loop of ``test_reducer_oracle`` and, where it leaves a formula,
+the five properties of a reduced one; and the number of formulas one call
+builds.
 """
 
 import random
@@ -66,6 +67,8 @@ def test_solver_reductions_match_the_reference(monkeypatch, solve, seed, make):
     assert {"R4", "R5", "R7"} <= fired, fired
     for psi, out in calls:
         assert outcome(out) == reference_reduce(psi), psi
+        if not out.settled:
+            assert reducer.check_reduced_properties(out.formula).all_pass, out.formula
 
 
 @pytest.mark.parametrize("solve, seed, make", [TRAFFIC[0], TRAFFIC[4]])
