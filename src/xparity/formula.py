@@ -81,6 +81,10 @@ class Formula:
     def __init__(self, variables: Iterable[int], clauses: Iterable[Iterable[Literal]]):
         clauses = list(map(tuple, clauses))
         _check_literals(chain.from_iterable(clauses))
+        vs = frozenset(variables)
+        for v in vs:
+            if type(v) is not int or v < 1:  # as a literal, and positive
+                raise ValueError(f"bad variable {v!r}")
         # a clause's key is its literals' _lit_key values in ascending
         # order, so deduplicating and sorting the keys orders the clauses,
         # and each key decodes back to its canonical clause: 2v -> v,
@@ -94,7 +98,6 @@ class Formula:
         )
         object.__setattr__(self, "sets", tuple(map(frozenset, self.clauses)))
         object.__setattr__(self, "_base", None)
-        vs = frozenset(variables)
         built = Formula._derive(vs, self)
         stray = built.occ.keys() - vs
         if stray:

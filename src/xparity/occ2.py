@@ -28,7 +28,10 @@ from .reducer import (
 )
 from .telemetry import Telemetry
 
-EXHAUSTIVE_BISECT_BELOW = 13  # bisect exhaustively up to this many vertices
+# bisect exhaustively up to this many vertices, this many included.  The
+# vertices are the 3-clauses and bisection_solve bisects only above n_eps of
+# them, so the default n_eps = 16 never reaches it; n_eps <= 12 does.
+EXHAUSTIVE_BISECT_BELOW = 13
 KL_RESTARTS = 6  # seeded Kernighan-Lin restarts above that size
 
 

@@ -3,14 +3,18 @@
 Deliberately the dumbest possible oracles: every counter enumerates the full
 space.  Enumeration is done on big-integer bitmaps (one bit per assignment /
 subset), so the Python loop is over clauses or sets, not over the 2^n
-space; counts are exact arbitrary-precision ints.
+space; counts are exact arbitrary-precision ints.  There is one such loop,
+``_models``, over clauses: a hitting set is a model of one positive clause
+per family member over the universe, a set cover one of one positive clause
+per element over the family.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-from .formula import Formula, var_of
+from .formula import Formula
 
 
 class CapExceeded(Exception):
@@ -34,32 +38,39 @@ def _pattern(i: int, width: int) -> int:
     return p
 
 
-def _all_ones(width: int) -> int:
-    return (1 << (1 << width)) - 1
-
-
 # -- CNF model counting ------------------------------------------------------
 
 
-def brute_count(phi: Formula) -> int:
-    """Exact number of satisfying assignments over the full variable set.
-
-    Variables absent from every clause are free and double the count.
-    """
-    n = phi.n
-    if n > VAR_CAP:
-        raise CapExceeded(f"{n} variables exceeds oracle cap {VAR_CAP}")
-    order = {v: i for i, v in enumerate(sorted(phi.variables))}
-    acc = _all_ones(n)
-    for clause in phi.clauses:
+def _models(width: int, clauses) -> int:
+    """Assignments to the variables 1..width satisfying every clause, each
+    a collection of literals over them: the AND over clauses of the OR of
+    their literals' patterns, over 2**width bits."""
+    acc = (1 << (1 << width)) - 1
+    for clause in clauses:
         cm = 0
         for lit in clause:
-            p = _pattern(order[var_of(lit)], n)
+            p = _pattern(abs(lit) - 1, width)
             cm |= p if lit > 0 else ~p
         acc &= cm
         if acc == 0:
             return 0
-    return (acc & _all_ones(n)).bit_count()
+    return acc.bit_count()
+
+
+def count_models(variables, clauses) -> int:
+    """Exact number of assignments to the distinct ids ``variables`` that
+    satisfy every clause over them.  A variable absent from every clause is
+    free and doubles the count."""
+    order = dict(zip(variables, itertools.count(1)))
+    n = len(order)
+    if n > VAR_CAP:
+        raise CapExceeded(f"{n} variables exceeds oracle cap {VAR_CAP}")
+    return _models(n, ([order[l] if l > 0 else -order[-l] for l in c] for c in clauses))
+
+
+def brute_count(phi: Formula) -> int:
+    """Exact number of satisfying assignments over the full variable set."""
+    return count_models(phi.variables, phi.clauses)
 
 
 def brute_parity(phi: Formula) -> int:
@@ -89,20 +100,11 @@ class SetSystem:
 def count_hitting_sets(system: SetSystem) -> int:
     """Number of H subseteq U intersecting every family member.  An empty
     set in the family admits no hitting set."""
-    u = sorted(system.universe)
+    u = system.universe
     if len(u) > SET_CAP:
         raise CapExceeded(f"universe size {len(u)} exceeds cap {SET_CAP}")
-    order = {e: i for i, e in enumerate(u)}
-    width = len(u)
-    acc = _all_ones(width)
-    for s in system.family:
-        hit = 0
-        for e in s:
-            hit |= _pattern(order[e], width)
-        acc &= hit
-        if acc == 0:
-            return 0
-    return (acc & _all_ones(width)).bit_count()
+    order = dict(zip(u, itertools.count(1)))
+    return _models(len(u), ([order[e] for e in s] for s in system.family))
 
 
 def count_set_covers(system: SetSystem) -> int:
@@ -110,17 +112,9 @@ def count_set_covers(system: SetSystem) -> int:
     fam = system.family
     if len(fam) > SET_CAP:
         raise CapExceeded(f"family size {len(fam)} exceeds cap {SET_CAP}")
-    width = len(fam)
-    acc = _all_ones(width)
-    for e in system.universe:
-        covered = 0
-        for j, s in enumerate(fam):
-            if e in s:
-                covered |= _pattern(j, width)
-        acc &= covered
-        if acc == 0:
-            return 0
-    return (acc & _all_ones(width)).bit_count()
+    return _models(
+        len(fam), ([j for j, s in enumerate(fam, 1) if e in s] for e in system.universe)
+    )
 
 
 # -- graphs ------------------------------------------------------------------
@@ -156,21 +150,9 @@ def count_vertex_covers(graph: SimpleGraph) -> int:
 
 
 def count_edge_covers(graph: SimpleGraph) -> int:
-    """Edge subsets touching every vertex; 0 if some vertex is isolated."""
-    edges = sorted(graph.edges, key=sorted)
-    if len(edges) > SET_CAP:
-        raise CapExceeded(f"{len(edges)} edges exceeds cap {SET_CAP}")
-    width = len(edges)
-    acc = _all_ones(width)
-    for v in graph.vertices:
-        touched = 0
-        for j, e in enumerate(edges):
-            if v in e:
-                touched |= _pattern(j, width)
-        acc &= touched
-        if acc == 0:
-            return 0
-    return (acc & _all_ones(width)).bit_count()
+    """Edge covers are exactly set covers of the vertices by the edges; 0
+    if some vertex is isolated."""
+    return count_set_covers(SetSystem(graph.vertices, tuple(graph.edges)))
 
 
 def inclusion_exclusion_edge_covers(graph: SimpleGraph) -> int:

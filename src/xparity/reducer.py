@@ -28,8 +28,9 @@ by one pass kept on the formula (``_sites``): in a reduced 2-occurrence
 formula, none.  R12 and R13 read one search of the formula's incidence
 graph, kept on the formula: its components and R13's hinge with the side
 to settle.  So a pass that checks both searches once, a solver that
-splits a formula the reducer returned reuses the search, and only a
-component or side within the cap is derived as a subformula.
+splits a formula the reducer returned reuses the search, and a component
+or side within the cap is counted from its clauses, over its own
+variables (``oracle.count_models``), with no subformula built.
 
 Rule summary (ids follow the priority order):
   R1  empty clause present            -> parity 0
@@ -61,7 +62,7 @@ from .formula import (
     remove_variable,
     var_of,
 )
-from .oracle import brute_parity
+from .oracle import count_models
 from .store import Store
 
 SUBFORMULA_VAR_CAP = 10  # threshold from the isolate/semi-isolate rules
@@ -160,9 +161,9 @@ def _r4(st: Store):
     j, over the pairs with i or j pending; drop clause j.  A subset or a
     superset of a pending clause shares a variable with it, so its
     occurrence lists hold every such pair; an empty clause shares none, so
-    the store scans in full again once one is added."""
+    R4 scans in full while the store holds one."""
     clauses, sets, keys, occ = st.clauses, st.sets, st.keys, st.occ
-    ids = st.pending["R4"]
+    ids = None if st.empty else st.pending["R4"]
     best = None
     if ids is None:
         # a clause of the greatest length has no proper superset (the set of
@@ -509,30 +510,33 @@ def _r12(phi: Formula):
         return None
     clauses = phi.clauses
     for comp, count in zip(comps, counts):
-        # only a component within the cap is worth deriving
+        # only a component within the cap is worth counting
         if count <= SUBFORMULA_VAR_CAP:
-            vs = {var_of(l) for i in comp for l in clauses[i]}
-            if brute_parity(subformula(phi, comp)) == 0:
+            side = [clauses[i] for i in comp]
+            if count_models({var_of(l) for c in side for l in c}, side) & 1 == 0:
                 return ("verdict", f"isolated subformula {list(comp)} has even parity")
             return (
                 "changed",
-                Formula._derive(phi.variables - vs, phi, comp),
+                remove_hinged_side(phi, comp, None, 1, 1),
                 f"isolated subformula {list(comp)}, parity 1, removed",
             )
     return None
 
 
 def _r13(phi: Formula):
+    """Count the hinge's side over its own variables, with and without the
+    unit (x): p1 is the parity with x true, p0 the rest."""
     hinge = _incidence(phi)[2]
     if hinge is None:
         return None
     x, side = hinge
     comp = list(side)
-    sub = subformula(phi, side)
-    if sub.n > SUBFORMULA_VAR_CAP:
-        raise ReducerInvariantError(f"hinge {x} has side {comp} of {sub.n} variables")
-    p1 = brute_parity(assign_literal(sub, x))
-    p0 = brute_parity(assign_literal(sub, -x))
+    clauses = [phi.clauses[i] for i in side]
+    vs = {var_of(l) for c in clauses for l in c}
+    if len(vs) > SUBFORMULA_VAR_CAP:
+        raise ReducerInvariantError(f"hinge {x} has side {comp} of {len(vs)} variables")
+    p1 = count_models(vs, [*clauses, (x,)]) & 1
+    p0 = (count_models(vs, clauses) & 1) ^ p1
     if p0 == 0 and p1 == 0:
         return ("verdict", f"hinged subformula {comp} even for both values of {x}")
     rest = remove_hinged_side(phi, side, x, p0, p1)
@@ -543,11 +547,12 @@ def _r13(phi: Formula):
     return ("changed", rest, detail)
 
 
-def remove_hinged_side(phi: Formula, idxs, hinge: int, p0: int, p1: int) -> Formula:
-    """Drop the clauses at ``idxs`` and their variables except ``hinge``;
-    p0 and p1 are the parities of those clauses with the hinge false and
-    true, not both even.  When they differ the odd value is forced; when
-    both are odd the hinge stays unassigned."""
+def remove_hinged_side(phi: Formula, idxs, hinge: int | None, p0: int, p1: int) -> Formula:
+    """Drop the clauses at ``idxs`` and their variables except ``hinge``
+    (None for a side that shares none, R12's component); p0 and p1 are the
+    parities of those clauses with the hinge false and true, not both even.
+    When they differ the odd value is forced; when both are odd the hinge
+    stays unassigned."""
     side = {var_of(l) for i in idxs for l in phi.clauses[i]} - {hinge}
     rest = Formula._derive(phi.variables - side, phi, sorted(idxs))
     if p0 != p1:

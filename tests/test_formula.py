@@ -119,6 +119,14 @@ def test_variable_set_superset_of_occurrences():
         Formula([1], [[1, 2]])
 
 
+def test_constructor_refuses_a_bad_variable():
+    # each would otherwise sit in no clause and read as a free variable
+    for bad in (0, -2, "x", 1.5, True, None):
+        with pytest.raises(ValueError) as err:
+            Formula([bad, 2], [[2]])
+        assert str(err.value) == f"bad variable {bad!r}"
+
+
 def test_assign_literal_examples():
     # satisfying literal removes the clause
     phi = F(2, [1, 2])

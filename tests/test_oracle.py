@@ -12,6 +12,7 @@ from xparity.oracle import (
     brute_parity,
     count_edge_covers,
     count_hitting_sets,
+    count_models,
     count_set_covers,
     count_vertex_covers,
     inclusion_exclusion_edge_covers,
@@ -62,6 +63,45 @@ def test_brute_count_matches_naive_enumeration():
             clauses.append([rng.choice([v, -v]) for v in vs])
         phi = Formula(range(1, n + 1), clauses)
         assert brute_count(phi) == naive_count(phi)
+
+
+def random_clauses(rng, n):
+    clauses = []
+    for _ in range(rng.randint(0, 8)):
+        vs = rng.sample(range(1, n + 1), rng.randint(0, min(3, n)))
+        clauses.append([rng.choice([v, -v]) for v in vs])
+    return clauses
+
+
+def test_count_models_matches_naive_enumeration():
+    # variables beyond those the clauses use are free and double the count
+    rng = random.Random(6)
+    for _ in range(80):
+        n = rng.randint(0, 6)
+        clauses = random_clauses(rng, n)
+        free = rng.sample(range(7, 11), rng.randint(0, 2))
+        variables = [*range(1, n + 1), *free]
+        assert count_models(variables, clauses) == naive_count(Formula(variables, clauses))
+    with pytest.raises(CapExceeded):
+        count_models(range(1, 26), [])
+
+
+def test_count_models_with_a_unit_counts_the_models_holding_it():
+    # R13 counts a side with the hinge true by adding the unit (x)
+    rng = random.Random(7)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        clauses = random_clauses(rng, n)
+        x = rng.choice([1, -1]) * rng.randint(1, n)
+        want = naive_count(Formula(range(1, n + 1), [*clauses, [x]]))
+        assert count_models(range(1, n + 1), [*clauses, (x,)]) == want
+        held = sum(
+            1
+            for bits in itertools.product([0, 1], repeat=n)
+            if bits[abs(x) - 1] == (x > 0)
+            and all(any(bits[abs(l) - 1] == (l > 0) for l in c) for c in clauses)
+        )
+        assert want == held
 
 
 def test_cap_refusal():

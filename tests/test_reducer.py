@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from test_reducer_oracle import cycle, is_fixpoint, raw_formulas, two_cycles_at
 
 from xparity.formula import Formula
+from xparity.generators import gen_rule_trigger
 from xparity.oracle import brute_parity
 from xparity.reducer import (
     SUBFORMULA_VAR_CAP,
@@ -177,6 +178,32 @@ def test_r12_derives_nothing_when_every_component_is_above_the_cap(monkeypatch):
     )
     assert apply_rule(phi, "R12") is None
     assert derivations == []
+
+
+def test_r12_and_r13_derive_one_formula_per_firing(monkeypatch):
+    # both count their side from the clauses and derive only what is left,
+    # plus one formula when R13 forces its hinge
+    rng = random.Random(0)
+    cases = [(r, gen_rule_trigger(r, seed)) for r in ("R12", "R13") for seed in range(12)]
+    cases += [("R13", random_formula(rng, max_n=6, max_m=6)) for _ in range(300)]
+    derivations = []
+    derive = Formula._derive.__func__
+    monkeypatch.setattr(
+        Formula,
+        "_derive",
+        classmethod(lambda cls, *a, **kw: derivations.append(1) or derive(cls, *a, **kw)),
+    )
+    seen = set()
+    for rule_id, phi in cases:
+        derivations.clear()
+        res = apply_rule(phi, rule_id)
+        if res is None or res[0] == "verdict":
+            assert derivations == [], (rule_id, phi)
+            continue
+        forced = "forced" in res[2]
+        assert len(derivations) == 1 + forced, (rule_id, phi, res[2])
+        seen.add((rule_id, forced))
+    assert seen == {("R12", False), ("R13", False), ("R13", True)}
 
 
 def test_r13_semi_isolated():

@@ -956,6 +956,27 @@ def test_r4_finds_an_empty_clause_added_after_its_full_scan(monkeypatch):
     assert outcome(reduce_formula(phi)) == want
 
 
+def test_r4_finds_an_empty_clause_a_store_loads(monkeypatch):
+    # falsifying a fixpoint's clause leaves () among the child's fresh
+    # clauses, where no occurrence list reaches it: R4 ahead of R1 must
+    # still see it first, as on a constructed copy
+    order = ["R4", *(f"R{i}" for i in range(1, 14) if i != 4)]
+    rules = dict(reducer._RULES)
+    children = []
+    for seed in range(60):
+        out = reduce_formula(gen_random_docc(16, 3, 2, 4, seed=seed))
+        if not out.settled and out.formula.m:
+            child = falsify_clause(out.formula, out.formula.clauses[0])
+            if child.m > 1:
+                children.append(child)
+    assert len(children) > 40
+    monkeypatch.setattr(reducer, "_RULES", tuple((rid, rules[rid]) for rid in order))
+    for child in children:
+        rule, detail = reduce_formula(child).trace[0]
+        assert rule == "R4" and detail.startswith("() subsumes"), child
+        check_scoped_start(child)
+
+
 # -- reduction from a parent's fixpoint --------------------------------------
 
 

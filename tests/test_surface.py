@@ -61,8 +61,9 @@ CAPPED_COUNTERS = {
 
 
 def test_solvers_use_no_capped_counter():
-    # brute_parity stays allowed: the reducer settles subformulas of at most
-    # SUBFORMULA_VAR_CAP variables with it
+    # brute_parity and count_models stay allowed: the solvers settle formulas
+    # and the reducer its sides of at most SUBFORMULA_VAR_CAP variables with
+    # them
     for module in SOLVER_MODULES:
         source = (PACKAGE / f"{module}.py").read_text()
         found = sorted(n for n in CAPPED_COUNTERS if re.search(rf"\b{n}\b", source))
