@@ -160,16 +160,26 @@ def _step3(psi: Formula, flips: tuple, x: int) -> Step:
     return Step("step3_2", psi, x, flips, claims=_claims(3 * W2, 3 * W2), joint=10 * W2)
 
 
+def _fewest_literals(phi: Formula, candidates) -> int:
+    """The candidate whose clauses hold the fewest literals in all, ties to
+    the least id: a cheap static score (one sum per candidate, O(L) in all)
+    for the pivot of a step whose claims hold for any candidate."""
+    return min(candidates, key=lambda v: (sum(len(phi.clauses[c]) for c, _ in phi.occ[v]), v))
+
+
 def classify_step(phi: Formula) -> Step:
     """First applicable step, in order 1, 2, 3.1, 3.2, 4, 5.1, 5.2, 6, with
-    its pivot and claims; ties go to the smallest canonical variable or
-    clause.  The returned formula has the pivot polarity-normalized where a
-    step assumes it."""
+    its pivot and claims.  Steps 1 and 4 branch on the candidate whose
+    clauses hold the fewest literals (``_fewest_literals``); the other
+    steps take the smallest canonical variable or clause.  The claims
+    depend only on the step, never on which qualifying pivot it takes.
+    The returned formula has the pivot polarity-normalized where a step
+    assumes it."""
     degrees = {v: phi.degree(v) for v in phi.variables}
     max_deg = max(degrees.values(), default=0)
 
     if max_deg >= 4:
-        x = min(v for v, d in degrees.items() if d == max_deg)
+        x = _fewest_literals(phi, (v for v, d in degrees.items() if d == max_deg))
         wd = weight(max_deg)
         joint = 2 * wd + 2 * max_deg * marginal_weight(max_deg)
         return Step("step1", phi, x, claims=_claims(wd, wd), joint=joint)
@@ -193,12 +203,15 @@ def classify_step(phi: Formula) -> Step:
                 if len(_lone_clause(phi, x)) == size:
                     return _step3(*_normalize(phi, x), x)
 
-        for x in three_vars:
-            if any(len(phi.clauses[cidx]) == 2 for cidx, _ in phi.occ[x]):
-                psi, flips = _normalize(phi, x)
-                # children are [x=0, x=1]; the satisfying branch is the second
-                claims = _claims(3 * W2, 5 * W2)
-                return Step("step4", psi, x, flips, claims=claims, joint=10 * W2)
+        in_2clause = [
+            x for x in three_vars if any(len(phi.clauses[cidx]) == 2 for cidx, _ in phi.occ[x])
+        ]
+        if in_2clause:
+            x = _fewest_literals(phi, in_2clause)
+            psi, flips = _normalize(phi, x)
+            # children are [x=0, x=1]; the satisfying branch is the second
+            claims = _claims(3 * W2, 5 * W2)
+            return Step("step4", psi, x, flips, claims=claims, joint=10 * W2)
 
         # stage claim: every 3-variable is now pure and lives in 3-clauses only
         for x in three_vars:

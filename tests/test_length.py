@@ -81,6 +81,40 @@ def test_classify_order_and_pivots():
         assert classify_step(two.formula).kind == "step6"
 
 
+def test_classify_step1_pivot_has_the_fewest_literals():
+    # 1, 2 and 3 are the 4-variables; 1's clauses hold 12 literals, 2's and
+    # 3's hold 8 each: the pivot is 2, the least of the two with fewest
+    phi = Formula(
+        range(1, 13),
+        [[1, 5, 6], [1, 7, 8], [-1, 9, 10], [1, 11, 12],
+         [2, 5], [-2, 7], [2, 9], [2, 11],
+         [3, 6], [3, 8], [-3, 10], [3, 12]],
+    )
+    step = classify_step(phi)
+    assert (step.kind, step.pivot) == ("step1", 2)
+
+
+def test_classify_step4_pivot_has_the_fewest_literals():
+    # 1, 2 and 3 are pure 3-variables, each in a 2-clause; 1's clauses hold
+    # 8 literals, 2's and 3's hold 6 each: the pivot is 2, the least of the
+    # two with fewest
+    phi = Formula(
+        range(1, 15),
+        [[1, 4], [1, 5, 6], [1, 7, 8],
+         [2, 9], [2, 10], [2, 11],
+         [3, 12], [3, 13], [3, 14]],
+    )
+    step = classify_step(phi)
+    assert (step.kind, step.pivot) == ("step4", 2)
+    # with every sum equal, the least id
+    phi = Formula(
+        range(1, 12),
+        [[1, 4], [1, 5], [1, 6], [2, 7], [2, 8], [2, 9], [3, 10], [3, 11], [3, 4]],
+    )
+    step = classify_step(phi)
+    assert (step.kind, step.pivot) == ("step4", 1)
+
+
 def test_classify_step2_pivot():
     # 4-clause containing a 3-variable, no 4+-variables
     clauses = [

@@ -132,8 +132,8 @@ def test_base_solve_splits_into_odd_components(index, monkeypatch):
     assert 16 in splits
 
 
-def signed_4regular(seed: int) -> Formula:
-    return Formula(range(1, 37), regular_clauses(random.Random(seed), 36, 4, 3, True))
+def signed_4regular(n: int, seed: int) -> Formula:
+    return Formula(range(1, n + 1), regular_clauses(random.Random(seed), n, 4, 3, True))
 
 
 # name -> (formula, the length step solve_length is to reach on it)
@@ -141,7 +141,9 @@ LENGTH_CASES = {
     **{f"circulant-{n}": (lambda n=n: circulant_triples(n), "step5_2") for n in range(40, 53)},
     **{f"positive-3regular-42-{s}": (lambda s=s: positive_3regular(42, s), "step4")
        for s in range(4)},
-    **{f"signed-4regular-36-{s}": (lambda s=s: signed_4regular(s), "step3_1") for s in range(4)},
+    **{f"signed-4regular-36-{s}": (lambda s=s: signed_4regular(36, s), "step3_1") for s in range(4)},
+    # n = 48 takes steps 1 to 3.2 on every seed
+    **{f"signed-4regular-48-{s}": (lambda s=s: signed_4regular(48, s), "step3_2") for s in range(4)},
     **{f"random-docc-40-{s}": (lambda s=s: gen_random_docc(40, 3, 2, 4, seed=s), "step2")
        for s in range(4)},
 }

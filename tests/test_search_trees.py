@@ -52,14 +52,14 @@ PINNED = {
     "occ2 signed 2-CNF cycles":
         (1, 0, 5, 0, {}),
     "length 4-regular 3-CNF (step 1)":
-        (0, 39, 40, 147, {"R1": 5, "R4": 121, "R5": 172, "R6": 17, "R7": 139, "R8": 4,
-                          "R9": 2, "R10": 3}),
+        (0, 29, 30, 114, {"R1": 2, "R4": 69, "R5": 114, "R6": 13, "R7": 94, "R8": 7,
+                          "R9": 3, "R10": 10, "R13": 2}),
     "length mixed 3-regular 3-CNF (step 3)":
         (0, 30, 31, 95, {"R4": 52, "R5": 76, "R6": 26, "R7": 122, "R8": 2, "R13": 1}),
     "length positive 3-regular 3-CNF (steps 4, 5)":
-        (1, 36, 37, 132, {"R4": 247, "R5": 191, "R6": 25, "R7": 163, "R8": 5, "R13": 3}),
+        (1, 31, 32, 115, {"R4": 201, "R5": 163, "R6": 19, "R7": 141, "R8": 8}),
     "length circulant triples (step 5.2)":
-        (0, 28, 30, 136, {"R4": 64, "R5": 54, "R6": 1, "R7": 70}),
+        (0, 25, 27, 127, {"R4": 49, "R5": 40, "R7": 42}),
     "docc mixed 3-occ":
         (0, 12, 19, 30, {"R4": 25, "R5": 55, "R6": 7, "R7": 61}),
     "positive-fib positive 3-regular":
@@ -76,13 +76,13 @@ STREAM_SHA256 = {
     "occ2 signed 2-CNF cycles":
         "8f62c7d0d13eb7aa7718737cbbdb9c5e77085e03bcd4fad16674dbda9b8a9aa7",
     "length 4-regular 3-CNF (step 1)":
-        "c6ca0b13c84f2808df4c9c3602ddc611130940a58ef356a4158d273b5c25a700",
+        "32b090c399f7d6fe3024f92f75e68b2d6e653eeafec7337228fc6190de99f739",
     "length mixed 3-regular 3-CNF (step 3)":
         "53d82ce35882fefdd50fe9fc9a3a09f5fe6463ac9654cb533fa1fa286cbb8aa6",
     "length positive 3-regular 3-CNF (steps 4, 5)":
-        "c5decbd1ba97ab142c776467993922cadf7a993eeb711d29baec239bcb29cb8e",
+        "9dbde75c85531d09091a8d3317ea57a181b4aba6aa9a5a04adbdcd3b24cfef21",
     "length circulant triples (step 5.2)":
-        "d8d237ca6a1d87f2bb07b196916a8fcf6944e224f64a35ba5cc159650d1a47a3",
+        "e34e9dab6a03b2010eaf16ace9e3fbe02941e322ddd3ad08d549652a16245854",
     "docc mixed 3-occ":
         "b58c3e0ec3cd155aa5e342826ca0175e545005713cf44694a5b101da16b52305",
     "positive-fib positive 3-regular":
@@ -132,7 +132,7 @@ def test_pinned_cases_reach_their_steps(monkeypatch):
     for name, (solve, make) in CASES.items():
         if solve is solve_length:
             solve(make(), Telemetry())
-    assert {"step1", "step3_1", "step5_2"} <= kinds, kinds
+    assert {"step1", "step3_1", "step4", "step5_2"} <= kinds, kinds
 
 
 def test_positive_fib_pin_reaches_every_leaf_kind():
